@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +22,14 @@ from .errors import (
     SubcriticalError,
     SupercriticalError,
 )
-from .model import ModelParams
+from .model import (
+    ModelParams,
+    deflate,
+    g_coeffs,
+    g_of_x,
+    g_prime_of_x,
+    g_second_of_x,
+)
 
 _XTOL = 1e-12
 
@@ -78,33 +86,15 @@ class RegimeClassification:
     tc_bound: float | None = None
 
 
-def g_of_x(x, xi: float, v: float, kappa: float = 0.0):
-    """First-integral residual g(x) = v^2/(xi+1) - (xi+1-x)x - (kappa/2)(xi+1-x)x^3.
-
-    The squared velocity of rest-start motion is x g(x)/(xi+1-x); the motion
-    stagnates where g vanishes. Accepts scalars or arrays.
-    """
-    xs = xi + 1.0
-    rem = xs - x
-    return v * v / xs - rem * x - 0.5 * kappa * rem * x**3
-
-
-def g_prime_of_x(x, xi: float, kappa: float = 0.0):
-    """Derivative of the first-integral residual (independent of v)."""
-    xs = xi + 1.0
-    return 2.0 * kappa * x**3 - 1.5 * kappa * xs * x**2 + 2.0 * x - xs
-
-
-def _h_of_x(x: float, xi: float, kappa: float) -> float:
-    # Elastic-electrostatic balance term: g(x) = v^2/(xi+1) - h(x).
-    xs = xi + 1.0
-    return (xs - x) * x + 0.5 * kappa * (xs - x) * x**3
-
-
-def _g_coeffs(xi: float, v: float, kappa: float) -> np.ndarray:
-    # g as a polynomial in x, highest degree first.
-    xs = xi + 1.0
-    return np.array([0.5 * kappa, -0.5 * kappa * xs, 1.0, -xs, v * v / xs])
+def _g_root(xi: float, v: float, kappa: float, lo: float, hi: float) -> float:
+    # root of g on a sign-changing bracket
+    return bracketed_root(
+        lambda x: g_of_x(x, xi, v, kappa),
+        lo,
+        hi,
+        fprime=lambda x: g_prime_of_x(x, xi, kappa),
+        xtol=_XTOL,
+    )
 
 
 def linear_factorization(xi: float, v: float) -> FirstIntegralFactorization:
@@ -151,23 +141,26 @@ def cubic_min_point(xi: float, kappa: float) -> float:
         return 0.5 * (xi + 1.0)
     ModelParams(xi=xi, kappa=kappa).require_convex()
     xs = xi + 1.0
+    return bracketed_root(
+        lambda x: g_prime_of_x(x, xi, kappa),
+        1e-15,
+        xs - 1e-15,
+        fprime=lambda x: g_second_of_x(x, xi, kappa),
+        xtol=_XTOL,
+    )
 
-    def f(x: float) -> float:
-        return g_prime_of_x(x, xi, kappa)
 
-    def fp(x: float) -> float:
-        return 6.0 * kappa * x * x - 3.0 * kappa * xs * x + 2.0
-
-    return bracketed_root(f, 1e-15, xs - 1e-15, fprime=fp, xtol=_XTOL)
-
-
+@lru_cache(maxsize=256, typed=True)
 def cubic_pullin(xi: float, kappa: float) -> PullInResult:
-    """Pull-in threshold for cubic elasticity; reduces to the linear formulas at kappa = 0."""
+    """Pull-in threshold for cubic elasticity; reduces to the linear formulas at kappa = 0.
+
+    Depends on (xi, kappa) only, so each pair is solved once and cached.
+    """
     if kappa == 0.0:
         return pullin_linear(xi)
     x0 = cubic_min_point(xi, kappa)
     xs = xi + 1.0
-    v_dpi = math.sqrt(xs * _h_of_x(x0, xi, kappa))
+    v_dpi = math.sqrt(xs * -g_of_x(x0, xi, 0.0, kappa))
     return PullInResult(v_dpi=v_dpi, x_dpi=x0, x0=x0, kappa=kappa, xi=xi)
 
 
@@ -189,14 +182,7 @@ def cubic_stagnation(xi: float, v: float, kappa: float) -> float:
         raise SupercriticalError(f"v={v} at or above pull-in {thr.v_dpi}; use classify_regime")
     if v == 0.0:
         return 0.0
-
-    def f(x: float) -> float:
-        return g_of_x(x, xi, v, kappa)
-
-    def fp(x: float) -> float:
-        return g_prime_of_x(x, xi, kappa)
-
-    return bracketed_root(f, 0.0, thr.x0, fprime=fp, xtol=_XTOL)
+    return _g_root(xi, v, kappa, 0.0, thr.x0)
 
 
 def stagnation(xi: float, v: float, kappa: float = 0.0) -> float:
@@ -212,25 +198,29 @@ def cubic_factorization(xi: float, v: float, kappa: float) -> FirstIntegralFacto
     """
     if kappa == 0.0:
         return linear_factorization(xi, v)
-    thr = cubic_pullin(xi, kappa)
-    if v >= thr.v_dpi:
-        raise SupercriticalError(f"v={v} at or above pull-in {thr.v_dpi}; use classify_regime")
+    x0 = cubic_pullin(xi, kappa).x0
+    return _cubic_factors(xi, v, kappa, x0, cubic_stagnation(xi, v, kappa))
+
+
+def periodic_factorization(cls: RegimeClassification) -> FirstIntegralFactorization:
+    """Factorization of a periodic classification, reusing its x0 and x_s."""
+    thr = cls.threshold
+    if thr.kappa == 0.0:
+        return linear_factorization(thr.xi, cls.v_applied)
+    return _cubic_factors(thr.xi, cls.v_applied, thr.kappa, thr.x0, cls.x_s)
+
+
+def _cubic_factors(
+    xi: float, v: float, kappa: float, x0: float, x1: float
+) -> FirstIntegralFactorization:
+    # x2 is the root of g above x0; q is g deflated at x1, then at x2
     xs = xi + 1.0
-    x1 = cubic_stagnation(xi, v, kappa)
-
-    def f(x: float) -> float:
-        return g_of_x(x, xi, v, kappa)
-
-    def fp(x: float) -> float:
-        return g_prime_of_x(x, xi, kappa)
-
-    x2 = bracketed_root(f, thr.x0, xs - 1e-15, fprime=fp, xtol=_XTOL)
-    quot, rem = np.polydiv(_g_coeffs(xi, v, kappa), np.array([1.0, -(x1 + x2), x1 * x2]))
-    scale = max(abs(v * v / xs), 1.0)
-    if np.max(np.abs(rem)) > 1e-9 * scale:
-        raise InvalidParameterError(
-            f"factorization residual {np.max(np.abs(rem))} too large; roots inaccurate"
-        )
+    x2 = _g_root(xi, v, kappa, x0, xs - 1e-15)
+    q1, rem1 = deflate(g_coeffs(xi, v, kappa), x1)
+    quot, rem2 = deflate(q1, x2)
+    residual = max(abs(rem1), abs(rem2))
+    if residual > 1e-9 * max(abs(v * v / xs), 1.0):
+        raise InvalidParameterError(f"factorization residual {residual} too large; roots inaccurate")
     return FirstIntegralFactorization(
         x1=x1, x2=x2, q_coeffs=tuple(float(c) for c in quot), case_tag="cubic"
     )
@@ -295,11 +285,7 @@ def stagnation_sensitivities(
         fd_v = (cubic_stagnation(xi, v + step, kappa) - cubic_stagnation(xi, v - step, kappa)) / (
             2.0 * step
         )
-        for name, an, fd in (("kappa", d_kappa, fd_kappa), ("v", d_v, fd_v)):
-            if abs(an - fd) > 1e-4 * max(abs(an), 1e-12):
-                raise ArithmeticError(
-                    f"d x_s/d {name}: analytic {an} vs finite difference {fd}"
-                )
+        _check_fd("d x_s/d {}", (("kappa", d_kappa, fd_kappa), ("v", d_v, fd_v)))
     return d_kappa, d_v
 
 
@@ -314,31 +300,31 @@ def pullin_sensitivity(
     """
     if kappa == 0.0:
         step = 1e-6
-        x0_0, x0_1, x0_2 = (cubic_min_point(xi, k) for k in (0.0, step, 2.0 * step))
-        v_0, v_1, v_2 = (cubic_pullin(xi, k).v_dpi for k in (0.0, step, 2.0 * step))
+        p0, p1, p2 = (cubic_pullin(xi, k) for k in (0.0, step, 2.0 * step))
         # second-order one-sided difference toward kappa -> 0+
         return (
-            (4.0 * x0_1 - 3.0 * x0_0 - x0_2) / (2.0 * step),
-            (4.0 * v_1 - 3.0 * v_0 - v_2) / (2.0 * step),
+            (4.0 * p1.x0 - 3.0 * p0.x0 - p2.x0) / (2.0 * step),
+            (4.0 * p1.v_dpi - 3.0 * p0.v_dpi - p2.v_dpi) / (2.0 * step),
         )
-    x0 = cubic_min_point(xi, kappa)
+    x0 = cubic_pullin(xi, kappa).x0
     xs = xi + 1.0
-    f_x = 6.0 * kappa * x0 * x0 - 3.0 * kappa * xs * x0 + 2.0
-    d_x0 = (2.0 / kappa) * (x0 - 0.5 * xs) / f_x
-    h0 = _h_of_x(x0, xi, kappa)
+    d_x0 = (2.0 / kappa) * (x0 - 0.5 * xs) / g_second_of_x(x0, xi, kappa)
+    h0 = -g_of_x(x0, xi, 0.0, kappa)
     d_v = 0.5 * math.sqrt(xs / h0) * (0.5 * (xs - x0) * x0**3)
     if verify:
         step = 1e-6
-        fd_x0 = (cubic_min_point(xi, kappa + step) - cubic_min_point(xi, kappa - step)) / (
-            2.0 * step
-        )
-        fd_v = (
-            cubic_pullin(xi, kappa + step).v_dpi - cubic_pullin(xi, kappa - step).v_dpi
-        ) / (2.0 * step)
-        for name, an, fd in (("x0", d_x0, fd_x0), ("v_dpi", d_v, fd_v)):
-            if abs(an - fd) > 1e-4 * max(abs(an), 1e-12):
-                raise ArithmeticError(f"d {name}/d kappa: analytic {an} vs finite difference {fd}")
+        up, down = cubic_pullin(xi, kappa + step), cubic_pullin(xi, kappa - step)
+        fd_x0 = (up.x0 - down.x0) / (2.0 * step)
+        fd_v = (up.v_dpi - down.v_dpi) / (2.0 * step)
+        _check_fd("d {}/d kappa", (("x0", d_x0, fd_x0), ("v_dpi", d_v, fd_v)))
     return d_x0, d_v
+
+
+def _check_fd(label: str, checks) -> None:
+    # analytic derivative against its finite difference, to 1e-4 relative
+    for name, an, fd in checks:
+        if abs(an - fd) > 1e-4 * max(abs(an), 1e-12):
+            raise ArithmeticError(f"{label.format(name)}: analytic {an} vs finite difference {fd}")
 
 
 # re-exported for callers needing the supercritical counterpart explicitly

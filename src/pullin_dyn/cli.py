@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 from . import __version__
@@ -198,17 +197,7 @@ def _resolve_model(args: argparse.Namespace) -> ModelParams:
 
 
 def _resolve_cfg(args: argparse.Namespace, scheme_default: str = SCHEME_SYMPLECTIC) -> IntegratorConfig:
-    eff = _effective(args, _CFG_KEYS)
-    defaults = IntegratorConfig(scheme=scheme_default)
-    return IntegratorConfig(
-        scheme=eff.get("scheme", scheme_default),
-        dt=eff.get("dt", defaults.dt),
-        rel_tol=eff.get("rel_tol", defaults.rel_tol),
-        abs_tol=eff.get("abs_tol", defaults.abs_tol),
-        t_max=eff.get("t_max", defaults.t_max),
-        contact_epsilon=eff.get("contact_epsilon", defaults.contact_epsilon),
-        event_refine_tol=eff.get("event_refine_tol", defaults.event_refine_tol),
-    )
+    return IntegratorConfig(**{"scheme": scheme_default, **_effective(args, _CFG_KEYS)})
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -272,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outputs", default=argparse.SUPPRESS, help="comma list of columns")
     p.add_argument("--format", choices=["csv", "json"], default=argparse.SUPPRESS)
     p.add_argument("--output", required=True)
-    p.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--jobs", type=int, default=argparse.SUPPRESS, help="kept for compatibility; rows run serially")
 
     p = sub.add_parser("generic", help="generic damped touch-down check (f=x, g=1/(2(a-x)^2))")
     _add_cfg_args(p)
@@ -332,7 +321,7 @@ def _write_trajectory_csv(
     path: str, traj: Trajectory, m: ModelParams, cfg: IntegratorConfig, precision: int
 ) -> None:
     with_h = m.mu == 0.0
-    energies = energy_series(traj, m) if with_h else None
+    columns = [traj.t, traj.x, traj.v] + ([energy_series(traj, m)] if with_h else [])
     with open(path, "w", newline="") as fh:
         fh.write(f"# pullin-dyn simulate version={__version__}\n")
         fh.write(f"# params xi={m.xi!r} v={m.v!r} kappa={m.kappa!r} mu={m.mu!r}\n")
@@ -341,17 +330,9 @@ def _write_trajectory_csv(
             f"contact_epsilon={cfg.contact_epsilon!r}\n"
         )
         writer = csv.writer(fh, lineterminator="\n")
-        header = ["t", "x", "v"] + (["H"] if with_h else [])
-        writer.writerow(header)
-        for i in range(len(traj)):
-            row = [
-                fmt_float(float(traj.t[i]), precision),
-                fmt_float(float(traj.x[i]), precision),
-                fmt_float(float(traj.v[i]), precision),
-            ]
-            if with_h:
-                row.append(fmt_float(float(energies[i]), precision))
-            writer.writerow(row)
+        writer.writerow(["t", "x", "v"] + (["H"] if with_h else []))
+        for row in zip(*columns):
+            writer.writerow([fmt_float(float(val), precision) for val in row])
         for ev in traj.events:
             fh.write(
                 f"# event,{ev.kind},{fmt_float(ev.t, precision)},{fmt_float(ev.x, precision)}\n"
@@ -431,11 +412,14 @@ def _axis(eff: dict, name: str) -> list[float]:
     return [float(eff.get(name, 0.0))]
 
 
-def _sweep_row(task: tuple[float, float, float, tuple[str, ...]]) -> dict:
-    xi, kappa, v, wanted = task
-    row: dict = {"xi": xi, "kappa": kappa, "v": v, "error": None}
-    for col in _SWEEP_COLUMNS:
-        row[col] = None
+def _csv_cell(val, precision: int) -> str:
+    if val is None:
+        return ""
+    return fmt_float(val, precision) if isinstance(val, float) else str(val)
+
+
+def _sweep_row(xi: float, kappa: float, v: float, wanted: tuple[str, ...]) -> dict:
+    row = {"xi": xi, "kappa": kappa, "v": v, **dict.fromkeys(_SWEEP_COLUMNS), "error": None}
     try:
         m = ModelParams(xi=xi, v=v, kappa=kappa)
         cls = classify_regime(m)
@@ -485,17 +469,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if unknown:
         raise InvalidParameterError(f"unknown sweep columns: {', '.join(unknown)}")
     fmt = eff.get("format", "csv")
-    jobs = int(eff.get("jobs", 1))
-    if jobs < 1:
+    if int(eff.get("jobs", 1)) < 1:
         raise InvalidParameterError("jobs must be >= 1")
 
-    tasks = [(xi, kappa, v, wanted) for xi in xis for kappa in kappas for v in vs]
     started = time.perf_counter()
-    if jobs == 1:
-        rows = [_sweep_row(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+    rows = [_sweep_row(xi, kappa, v, wanted) for xi in xis for kappa in kappas for v in vs]
     wall = time.perf_counter() - started
 
     spec = {
@@ -525,16 +503,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             for row in rows:
-                out_row = []
-                for col in columns:
-                    val = row[col]
-                    if val is None:
-                        out_row.append("")
-                    elif isinstance(val, float):
-                        out_row.append(fmt_float(val, precision))
-                    else:
-                        out_row.append(str(val))
-                writer.writerow(out_row)
+                writer.writerow([_csv_cell(row[col], precision) for col in columns])
 
     params = {**spec, "output": args.output}
     record = RunRecord(

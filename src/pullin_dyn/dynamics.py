@@ -31,6 +31,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from ._roots import bracketed_root
 from .analysis import (
     REGIME_CRITICAL,
     classify_regime,
@@ -42,7 +43,16 @@ from .errors import (
     RegimeMismatchError,
     SingularityError,
 )
-from .model import ModelParams, PhaseState, first_integral_rhs, make_force
+from .model import (
+    ModelParams,
+    PhaseState,
+    deflate,
+    energy,
+    first_integral_rhs,
+    g_coeffs,
+    make_force,
+)
+from .quadrature import gauss_nodes
 
 SCHEME_SYMPLECTIC = "symplectic"
 SCHEME_ADAPTIVE = "adaptive"
@@ -85,8 +95,9 @@ class IntegratorConfig:
         if self.scheme not in (SCHEME_SYMPLECTIC, SCHEME_ADAPTIVE):
             raise InvalidParameterError(f"unknown scheme '{self.scheme}'")
         for name in ("dt", "rel_tol", "abs_tol", "t_max", "event_refine_tol", "dt_min"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidParameterError(f"{name} must be positive")
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val > 0.0):
+                raise InvalidParameterError(f"{name} must be finite and positive")
         if not 0.0 < self.contact_epsilon < 1e-3:
             raise InvalidParameterError("contact_epsilon must lie in (0, 1e-3)")
         if not 0.0 < self.origin_epsilon < 1e-2:
@@ -135,10 +146,7 @@ class Trajectory:
         return [e for e in self.events if e.kind == kind]
 
     def first_event(self, kind: str) -> Event | None:
-        for e in self.events:
-            if e.kind == kind:
-                return e
-        return None
+        return next((e for e in self.events if e.kind == kind), None)
 
     def interpolate_x(self, tq) -> np.ndarray:
         """Cubic Hermite interpolation of the displacement at query times."""
@@ -146,18 +154,9 @@ class Trajectory:
         if np.any(tq < self.t[0]) or np.any(tq > self.t[-1]):
             raise InvalidParameterError("query time outside the sampled range")
         idx = np.clip(np.searchsorted(self.t, tq, side="right") - 1, 0, len(self.t) - 2)
-        t0, t1 = self.t[idx], self.t[idx + 1]
-        h = t1 - t0
-        s = (tq - t0) / h
-        h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-        h10 = s * (1.0 - s) ** 2
-        h01 = s * s * (3.0 - 2.0 * s)
-        h11 = s * s * (s - 1.0)
-        return (
-            h00 * self.x[idx]
-            + h10 * h * self.v[idx]
-            + h01 * self.x[idx + 1]
-            + h11 * h * self.v[idx + 1]
+        nxt = idx + 1
+        return _hermite(
+            self.t[idx], self.x[idx], self.v[idx], self.t[nxt], self.x[nxt], self.v[nxt], tq
         )
 
     def first_crossing_time(self, level: float, refine_tol: float = 1e-10) -> float | None:
@@ -168,14 +167,12 @@ class Trajectory:
         i = int(above[0])
         if i == 0:
             return float(self.t[0])
-        lo, hi = float(self.t[i - 1]), float(self.t[i])
-        while hi - lo > refine_tol:
-            mid = 0.5 * (lo + hi)
-            if float(self.interpolate_x(mid)[0]) >= level:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+        return bracketed_root(
+            lambda tq: float(self.interpolate_x(tq)[0]) - level,
+            float(self.t[i - 1]),
+            float(self.t[i]),
+            xtol=refine_tol,
+        )
 
 
 @dataclass(frozen=True)
@@ -246,13 +243,7 @@ class TouchDownCheck:
 
 def energy_series(traj: Trajectory, m: ModelParams) -> np.ndarray:
     """Total energy at each sample of an actuator trajectory."""
-    xs = m.x_singular
-    return (
-        0.5 * traj.v**2
-        + 0.5 * traj.x**2
-        + 0.25 * m.kappa * traj.x**4
-        - 0.5 * m.v * m.v / (xs - traj.x)
-    )
+    return energy(traj.x, traj.v, m)
 
 
 def _hermite(t0, y0, d0, t1, y1, d1, tq):
@@ -267,20 +258,6 @@ def _hermite(t0, y0, d0, t1, y1, d1, tq):
     )
 
 
-def _bisect_sign_change(fun, lo: float, hi: float, tol: float) -> float:
-    flo = fun(lo)
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if flo * fun(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-            flo = fun(lo)
-    return 0.5 * (lo + hi)
-
-
 def _contact_tail_time(rhs_sq: Callable, x_from: float, surface: float) -> float:
     # Residual travel time from x_from to the surface using the squared
     # velocity profile; the substitution x = surface - delta s^2 absorbs the
@@ -288,9 +265,7 @@ def _contact_tail_time(rhs_sq: Callable, x_from: float, surface: float) -> float
     delta = surface - x_from
     if delta <= 0.0:
         return 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    s = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
+    s, w = gauss_nodes(16, 1.0)
     x = surface - delta * s * s
     val = rhs_sq(x)
     val = np.maximum(val, 1e-300)
@@ -298,13 +273,18 @@ def _contact_tail_time(rhs_sq: Callable, x_from: float, surface: float) -> float
 
 
 class _Collector:
-    """Accumulates samples and events. Samples must arrive in increasing t."""
+    """Accumulates samples, events and the termination cause; t must increase."""
 
     def __init__(self) -> None:
         self.t: list[float] = []
         self.x: list[float] = []
         self.v: list[float] = []
         self.events: list[Event] = []
+        self.terminated_by = TERMINATED_HORIZON
+
+    def touch_down(self, t_c: float, surface: float) -> None:
+        self.events.append(Event(EVENT_TOUCHDOWN, t_c, surface))
+        self.terminated_by = TERMINATED_TOUCHDOWN
 
     def add(self, t: float, x: float, v: float) -> None:
         if self.t and t <= self.t[-1]:
@@ -322,14 +302,13 @@ class _Collector:
 def _run_symplectic(
     force: Callable[[float, float], float],
     mu: float,
-    t0: float,
     x0: float,
     v0: float,
     cfg: IntegratorConfig,
     surface: float,
     project_origin: bool,
     tail_fn: Callable[[float, float], float],
-) -> tuple[_Collector, str]:
+) -> _Collector:
     """Staggered position-velocity scheme with step halving near contact.
 
     The damping term enters the half kick explicitly and the full kick
@@ -340,10 +319,9 @@ def _run_symplectic(
     zone = _CONTACT_ZONE * surface
     trigger = surface - cfg.contact_epsilon
     t_max = cfg.t_max
-    t, x, v = t0, x0, v0
+    t, x, v = 0.0, x0, v0
     a = force(x, t)
     col.add(t, x, v)
-    terminated = TERMINATED_HORIZON
     half_mu = 0.5 * mu
 
     while t < t_max - 1e-15:
@@ -368,9 +346,7 @@ def _run_symplectic(
                 )
             t_cross = t + (trigger - x) / vh
             col.add(t_cross, trigger, vh)
-            t_c = t_cross + tail_fn(trigger, vh)
-            col.events.append(Event(EVENT_TOUCHDOWN, t_c, surface))
-            terminated = TERMINATED_TOUCHDOWN
+            col.touch_down(t_cross + tail_fn(trigger, vh), surface)
             break
 
         if x_new < 0.0:
@@ -395,11 +371,11 @@ def _run_symplectic(
         if v != 0.0 and (v * v_new < 0.0 or v_new == 0.0):
             acc0 = a - mu * v
             acc1 = a_new - mu * v_new
-            t_star = _bisect_sign_change(
+            t_star = bracketed_root(
                 lambda tq: _hermite(t, v, acc0, t_new, v_new, acc1, tq),
                 t,
                 t_new,
-                cfg.event_refine_tol,
+                xtol=cfg.event_refine_tol,
             )
             x_star = _hermite(t, x, v, t_new, x_new, v_new, t_star)
             if project_origin and v < 0.0 and x_star <= cfg.origin_epsilon:
@@ -413,13 +389,12 @@ def _run_symplectic(
         t, x, v, a = t_new, x_new, v_new, a_new
         col.add(t, x, v)
 
-    return col, terminated
+    return col
 
 
 def _run_adaptive(
     force: Callable[[float, float], float],
     mu: float,
-    t0: float,
     x0: float,
     v0: float,
     cfg: IntegratorConfig,
@@ -427,7 +402,7 @@ def _run_adaptive(
     ceiling: float,
     project_origin: bool,
     tail_fn: Callable[[float, float], float],
-) -> tuple[_Collector, str]:
+) -> _Collector:
     """Adaptive explicit Runge-Kutta segments with event-driven restarts.
 
     Each segment ends at the horizon, at the terminal contact event, or (for
@@ -463,9 +438,8 @@ def _run_adaptive(
     ev_vup.terminal = bool(project_origin)
     ev_vup.direction = 1.0
 
-    t, x, v = t0, x0, v0
+    t, x, v = 0.0, x0, v0
     col.add(t, x, v)
-    terminated = TERMINATED_HORIZON
 
     while True:
         if v == 0.0:
@@ -535,9 +509,7 @@ def _run_adaptive(
             te, xe, ve = contact_state
             if te > col.t[-1]:
                 col.add(te, xe, ve)
-            t_c = te + tail_fn(xe, ve)
-            col.events.append(Event(EVENT_TOUCHDOWN, t_c, surface))
-            terminated = TERMINATED_TOUCHDOWN
+            col.touch_down(te + tail_fn(xe, ve), surface)
             break
         if sol.status == 0:
             break
@@ -550,17 +522,37 @@ def _run_adaptive(
         if t >= cfg.t_max - 1e-15:
             break
 
-    return col, terminated
+    return col
 
 
-def _finalize(
-    col: _Collector,
-    terminated: str,
-    m: ModelParams | None,
+def _run(
+    force: Callable[[float, float], float],
+    mu: float,
+    x0: float,
+    v0: float,
+    cfg: IntegratorConfig,
     surface: float,
-) -> Trajectory:
+    ceiling: float,
+    project_origin: bool,
+    tail_fn: Callable[[float, float], float],
+) -> _Collector:
+    # the configured scheme; the fixed-step one needs no force ceiling
+    if cfg.scheme == SCHEME_ADAPTIVE:
+        return _run_adaptive(force, mu, x0, v0, cfg, surface, ceiling, project_origin, tail_fn)
+    return _run_symplectic(force, mu, x0, v0, cfg, surface, project_origin, tail_fn)
+
+
+def _drift_tail(surface: float) -> Callable[[float, float], float]:
+    # residual travel to the surface at the trigger velocity
+    def tail_fn(xe: float, ve: float) -> float:
+        return (surface - xe) / ve if ve > 0.0 else 0.0
+
+    return tail_fn
+
+
+def _finalize(col: _Collector, m: ModelParams | None, surface: float) -> Trajectory:
     t, x, v = col.arrays()
-    traj = Trajectory(t=t, x=x, v=v, events=col.events, terminated_by=terminated)
+    traj = Trajectory(t=t, x=x, v=v, events=col.events, terminated_by=col.terminated_by)
     if m is not None and m.mu == 0.0:
         energies = energy_series(traj, m)
         keep = x <= surface - _CONTACT_ZONE * surface
@@ -610,26 +602,17 @@ def integrate(
 
     surface = 1.0
     project = rest and m.mu == 0.0
-
-    if rest and m.mu == 0.0:
+    if project:
         def tail_fn(xe: float, ve: float) -> float:
             return _contact_tail_time(lambda xx: first_integral_rhs(xx, m), xe, surface)
     else:
-        def tail_fn(xe: float, ve: float) -> float:
-            return (surface - xe) / ve if ve > 0.0 else 0.0
+        tail_fn = _drift_tail(surface)
 
     def force(x: float, t: float) -> float:
         return fast(x)
 
-    if cfg.scheme == SCHEME_ADAPTIVE:
-        col, terminated = _run_adaptive(
-            force, m.mu, 0.0, x0, v0, cfg, surface, m.x_singular, project, tail_fn
-        )
-    else:
-        col, terminated = _run_symplectic(
-            force, m.mu, 0.0, x0, v0, cfg, surface, project, tail_fn
-        )
-    return _finalize(col, terminated, m, surface)
+    col = _run(force, m.mu, x0, v0, cfg, surface, m.x_singular, project, tail_fn)
+    return _finalize(col, m, surface)
 
 
 def verify_periodicity(traj: Trajectory) -> SymmetryReport:
@@ -686,11 +669,8 @@ def integrate_critical(
     xs = m.x_singular
     x0 = cls.threshold.x0
     # residual as a polynomial, deflated twice at its double root
-    coeffs = np.array([0.5 * m.kappa, -0.5 * m.kappa * xs, 1.0, -xs, m.v * m.v / xs])
-    if m.kappa == 0.0:
-        coeffs = coeffs[2:]
-    q1 = _deflate(coeffs, x0)
-    qt = tuple(float(c) for c in _deflate(q1, x0))
+    q1, _ = deflate(g_coeffs(m.xi, m.v, m.kappa), x0)
+    qt, _ = deflate(q1, x0)
 
     def rate(u: float) -> float:
         x = x0 - u
@@ -751,16 +731,6 @@ def integrate_critical(
     return traj, report
 
 
-def _deflate(coeffs: np.ndarray, root: float) -> np.ndarray:
-    # synthetic division discarding the (tiny) remainder
-    out = np.empty(len(coeffs) - 1)
-    acc = coeffs[0]
-    for i in range(len(coeffs) - 1):
-        out[i] = acc
-        acc = coeffs[i + 1] + acc * root
-    return out
-
-
 def generic_tc_bound(mu: float, margin: float, a: float) -> float:
     """Contact-time bound from inverting the touch-down displacement lower bound.
 
@@ -780,7 +750,7 @@ def generic_tc_bound(mu: float, margin: float, a: float) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise InvalidParameterError("touch-down bound bracket expansion failed")
-    return _bisect_sign_change(lambda t: lower(t) - a, 0.0, hi, 1e-12)
+    return bracketed_root(lambda t: lower(t) - a, 0.0, hi, xtol=1e-12)
 
 
 _BOUND_GRID = 1000
@@ -834,18 +804,8 @@ def integrate_generic(
             raise SingularityError(f"x={x} at or beyond touch-down position a={gm.a}")
         return gm.lam * gm.forcing_g(x, t) - gm.f_fn(x, t)
 
-    def tail_fn(xe: float, ve: float) -> float:
-        return (gm.a - xe) / ve if ve > 0.0 else 0.0
-
-    if cfg.scheme == SCHEME_ADAPTIVE:
-        col, terminated = _run_adaptive(
-            force, gm.mu, 0.0, 0.0, 0.0, cfg, gm.a, gm.a, False, tail_fn
-        )
-    else:
-        col, terminated = _run_symplectic(
-            force, gm.mu, 0.0, 0.0, 0.0, cfg, gm.a, False, tail_fn
-        )
-    traj = _finalize(col, terminated, None, gm.a)
+    col = _run(force, gm.mu, 0.0, 0.0, cfg, gm.a, gm.a, False, _drift_tail(gm.a))
+    traj = _finalize(col, None, gm.a)
 
     margin = gm.lam * gm.c2 - gm.c1
     guaranteed = margin > 0.0

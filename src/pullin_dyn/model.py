@@ -172,34 +172,27 @@ def normalize_physical(p: PhysicalParams) -> ModelParams:
     return ModelParams(xi=xi, v=v, kappa=kappa, mu=0.0)
 
 
-def _check_domain(x: float, m: ModelParams) -> None:
-    if x >= m.x_singular:
-        raise SingularityError(f"x={x} at or beyond singularity x=xi+1={m.x_singular}")
+def energy(x, v, m: ModelParams):
+    """Total normalized energy at displacement x and velocity v (scalars or arrays)."""
+    return 0.5 * v * v + 0.5 * x * x + 0.25 * m.kappa * x**4 - 0.5 * m.v * m.v / (m.x_singular - x)
 
 
 def hamiltonian(s: PhaseState, m: ModelParams) -> float:
     """Total normalized energy of a phase state."""
-    _check_domain(s.x, m)
-    x = s.x
-    return (
-        0.5 * s.v * s.v
-        + 0.5 * x * x
-        + 0.25 * m.kappa * x**4
-        - 0.5 * m.v * m.v / (m.x_singular - x)
-    )
+    if s.x >= m.x_singular:
+        raise SingularityError(f"x={s.x} at or beyond singularity x=xi+1={m.x_singular}")
+    return energy(s.x, s.v, m)
 
 
 def force(x: float, m: ModelParams) -> float:
     """Normalized acceleration -x - kappa x^3 + v^2 / (2 (xi+1-x)^2)."""
-    _check_domain(x, m)
-    return -x - m.kappa * x**3 + 0.5 * m.v * m.v / (m.x_singular - x) ** 2
+    return make_force(m)(x)
 
 
 def make_force(m: ModelParams) -> Callable[[float], float]:
     """Return a fast scalar force closure for integrator hot loops.
 
-    Same expression as :func:`force`; the singularity guard is kept, the
-    dataclass attribute lookups are not.
+    The singularity guard is kept, the dataclass attribute lookups are not.
     """
     xs = m.x_singular
     kappa = m.kappa
@@ -213,19 +206,56 @@ def make_force(m: ModelParams) -> Callable[[float], float]:
     return f
 
 
+def g_of_x(x, xi: float, v: float, kappa: float = 0.0):
+    """First-integral residual g(x) = v^2/(xi+1) - (xi+1-x)x - (kappa/2)(xi+1-x)x^3.
+
+    The squared velocity of rest-start motion is x g(x)/(xi+1-x); the motion
+    stagnates where g vanishes. Accepts scalars or arrays.
+    """
+    xs = xi + 1.0
+    rem = xs - x
+    return v * v / xs - rem * x - 0.5 * kappa * rem * x**3
+
+
+def g_prime_of_x(x, xi: float, kappa: float = 0.0):
+    """Derivative of the first-integral residual (independent of v)."""
+    xs = xi + 1.0
+    return 2.0 * kappa * x**3 - 1.5 * kappa * xs * x**2 + 2.0 * x - xs
+
+
+def g_second_of_x(x, xi: float, kappa: float = 0.0):
+    """Second derivative of the first-integral residual."""
+    return 6.0 * kappa * x * x - 3.0 * kappa * (xi + 1.0) * x + 2.0
+
+
+def g_coeffs(xi: float, v: float, kappa: float = 0.0) -> tuple[float, ...]:
+    """Coefficients of g, highest degree first: quartic, or quadratic when kappa = 0."""
+    xs = xi + 1.0
+    quadratic = (1.0, -xs, v * v / xs)
+    return quadratic if kappa == 0.0 else (0.5 * kappa, -0.5 * kappa * xs) + quadratic
+
+
+def deflate(coeffs, root: float) -> tuple[tuple[float, ...], float]:
+    """Synthetic division by (x - root): quotient coefficients and remainder."""
+    quot = []
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        quot.append(acc)
+        acc = c + acc * root
+    return tuple(quot), acc
+
+
 def first_integral_rhs(x, m: ModelParams):
     """Squared velocity as a function of displacement for rest-start motion.
 
     Energy conservation from the rest initial state gives
-    v^2 = (x/(xi+1-x)) * (v^2_applied/(xi+1) - (xi+1-x)x - (kappa/2)(xi+1-x)x^3).
+    v^2 = x g(x)/(xi+1-x) with g the residual of :func:`g_of_x`.
     Accepts a scalar or an ndarray of displacements in [0, xi+1).
     """
     xs = m.x_singular
     if np.any(np.asarray(x) >= xs):
         raise SingularityError(f"x at or beyond singularity x=xi+1={xs}")
-    rem = xs - x
-    g = m.v * m.v / xs - rem * x - 0.5 * m.kappa * rem * x**3
-    return x / rem * g
+    return x / (xs - x) * g_of_x(x, m.xi, m.v, m.kappa)
 
 
 # Psi-grid convexity check parameters: dense uniform sampling with a strictly

@@ -22,8 +22,8 @@ from .analysis import (
     REGIME_PERIODIC,
     REGIME_TOUCHDOWN,
     classify_regime,
-    cubic_factorization,
     g_of_x,
+    periodic_factorization,
 )
 from .errors import (
     QuadratureFailureError,
@@ -36,6 +36,7 @@ from .model import ModelParams
 _BASE_NODES = 32
 _MAX_DOUBLINGS = 20
 _RTOL = 1e-10
+_HALF_PI = 0.5 * math.pi  # theta range of the sin^2 substitution
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,10 @@ class TimeScales:
 
 
 @lru_cache(maxsize=32)
-def _nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Gauss-Legendre nodes/weights mapped to [0, pi/2].
+def gauss_nodes(n: int, length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n mapped to [0, length]."""
     x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.25 * math.pi
+    half = 0.5 * length
     return half * (x + 1.0), half * w
 
 
@@ -69,12 +70,12 @@ def _gauss_doubling(integrand, rtol: float = _RTOL) -> tuple[float, list[float]]
     refinements (the reported error estimates).
     """
     n = _BASE_NODES
-    theta, w = _nodes(n)
+    theta, w = gauss_nodes(n, _HALF_PI)
     prev = float(np.dot(w, integrand(theta)))
     history: list[float] = []
     for _ in range(_MAX_DOUBLINGS):
         n *= 2
-        theta, w = _nodes(n)
+        theta, w = gauss_nodes(n, _HALF_PI)
         cur = float(np.dot(w, integrand(theta)))
         err = abs(cur - prev)
         history.append(err)
@@ -89,8 +90,7 @@ def _gauss_doubling(integrand, rtol: float = _RTOL) -> tuple[float, list[float]]
 def _bounds_subcritical(xi: float, x1: float, x2: float) -> tuple[float, float]:
     xs = xi + 1.0
     t1 = 2.0 * math.sqrt(2.0) * math.sqrt(xs / (2.0 * x2 - x1))
-    ts = 2.0 * (math.sqrt((xs - 0.5 * x1) / (x2 - x1)) + math.sqrt(2.0) * math.sqrt(xs / (2.0 * x2 - x1)))
-    return t1, ts
+    return t1, 2.0 * math.sqrt((xs - 0.5 * x1) / (x2 - x1)) + t1
 
 
 def period_by_quadrature(m: ModelParams) -> TimeScales:
@@ -105,14 +105,13 @@ def period_by_quadrature(m: ModelParams) -> TimeScales:
         raise SupercriticalError(
             f"period undefined in regime '{cls.regime}' (v={m.v}, v_dpi={cls.threshold.v_dpi})"
         )
-    fact = cubic_factorization(m.xi, m.v, m.kappa)
+    fact = periodic_factorization(cls)
     xs = m.xi + 1.0
     x1, x2 = fact.x1, fact.x2
-    qc = np.array(fact.q_coeffs)
 
     def integrand(theta: np.ndarray) -> np.ndarray:
         x = x1 * np.sin(theta) ** 2
-        return 2.0 * np.sqrt((xs - x) / ((x2 - x) * np.polyval(qc, x)))
+        return 2.0 * np.sqrt((xs - x) / ((x2 - x) * fact.q(x)))
 
     t_s, _ = _gauss_doubling(integrand)
     t1_bound, ts_bound = _bounds_subcritical(m.xi, x1, x2)
@@ -154,7 +153,7 @@ def analytic_bounds(m: ModelParams) -> tuple[float | None, float | None, float |
     """
     cls = classify_regime(m)
     if cls.regime == REGIME_PERIODIC:
-        fact = cubic_factorization(m.xi, m.v, m.kappa)
+        fact = periodic_factorization(cls)
         t1_bound, ts_bound = _bounds_subcritical(m.xi, fact.x1, fact.x2)
         return t1_bound, ts_bound, None
     if cls.regime == REGIME_TOUCHDOWN:

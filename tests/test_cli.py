@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import pullin_dyn
+from pullin_dyn import analysis, pullin
 from pullin_dyn.cli import RunRecord, fmt_float, main
 
 
@@ -211,6 +216,44 @@ def test_sweep_deterministic_across_jobs(capsys, tmp_path):
     run_json(capsys, *common, "--output", str(a), "--jobs", "1")
     run_json(capsys, *common, "--output", str(b), "--jobs", "2")
     assert a.read_bytes() == b.read_bytes()
+    code, _, _ = run_cli(capsys, *common, "--output", str(b), "--jobs", "0")
+    assert code == 2
+
+
+def test_sweep_solves_statics_once_per_row(capsys, tmp_path, monkeypatch):
+    # x0 once per (xi, kappa); per periodic row x_s twice (the row's
+    # classification and the period's) and x2 once
+    calls = []
+    real = analysis.bracketed_root
+
+    def counted(f, *args, **kwargs):
+        calls.append(1)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "bracketed_root", counted)
+    n = 12
+    v_max = 0.9 * pullin(0.15, 0.35).v_dpi
+    run_json(
+        capsys, "sweep", "--xi", "0.15", "--kappa", "0.35", "--v-min", "0.05",
+        "--v-max", repr(v_max), "--v-steps", str(n), "--output", str(tmp_path / "s.csv"),
+    )
+    rows = (tmp_path / "s.csv").read_text().splitlines()[3:]
+    assert len(rows) == n and all(",periodic," in r for r in rows)
+    assert len(calls) <= 3 * n + 1
+
+
+def test_cold_import_loads_no_scipy_and_no_process_pool():
+    code = (
+        "import sys, pullin_dyn.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'multiprocessing') or m.startswith('concurrent.futures')))"
+    )
+    src = os.path.dirname(os.path.dirname(pullin_dyn.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_sweep_json_single_object(capsys, tmp_path):

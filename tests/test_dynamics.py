@@ -47,6 +47,11 @@ def test_config_validation():
         IntegratorConfig(dt=0.0)
     with pytest.raises(InvalidParameterError):
         IntegratorConfig(contact_epsilon=1e-2)
+    # an infinite horizon would never end the fixed-step loop
+    for name in ("t_max", "rel_tol", "abs_tol", "event_refine_tol", "dt_min"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(InvalidParameterError):
+                IntegratorConfig(**{name: bad})
 
 
 def test_unforced_rest_is_equilibrium():

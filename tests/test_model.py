@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from pullin_dyn import (
     ConvexityReport,
     ElasticPotential,
+    IntegratorConfig,
     InvalidParameterError,
     ModelParams,
     PhaseState,
@@ -13,9 +14,12 @@ from pullin_dyn import (
     SingularityError,
     check_convexity,
     convexity_bound,
+    energy_series,
     first_integral_rhs,
     force,
+    g_of_x,
     hamiltonian,
+    integrate,
     normalize_physical,
 )
 from pullin_dyn.model import make_force
@@ -89,6 +93,11 @@ def test_make_force_matches_force():
     f = make_force(m)
     for x in np.linspace(0.0, 1.0, 17):
         assert f(float(x)) == force(float(x), m)
+        rhs = x * g_of_x(x, m.xi, m.v, m.kappa) / (m.xi + 1.0 - x)
+        assert first_integral_rhs(x, m) == pytest.approx(rhs, rel=1e-15, abs=1e-15)
+    traj = integrate(m, IntegratorConfig(dt=1e-3, t_max=2.0))
+    h = [hamiltonian(s, m) for s in traj.states()]
+    np.testing.assert_allclose(energy_series(traj, m), h, rtol=1e-15, atol=0.0)
 
 
 def test_first_integral_rhs_values():
