@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from . import __version__
 from .analysis import (
@@ -69,6 +69,8 @@ _CFG_KEYS = (
     "event_refine_tol",
 )
 _SWEEP_COLUMNS = ("x_s", "t_p", "t_c", "regime", "v_dpi", "x_dpi")
+# Trajectory rows formatted per write: whole-file joins cost megabytes of text.
+_CSV_CHUNK_ROWS = 4096
 
 
 def fmt_float(x: float, precision: int) -> str:
@@ -96,7 +98,12 @@ def _config_hash(params: dict) -> str:
 
 @dataclass
 class RunRecord:
-    """Reproducibility record emitted alongside file outputs."""
+    """Reproducibility record emitted alongside file outputs.
+
+    stages holds the seconds of each stage of a run (simulate: resolve_s,
+    integrate_s, write_s), and wall_time_s is then their sum. Timings never
+    enter config_hash.
+    """
 
     command: str
     params: dict
@@ -104,6 +111,7 @@ class RunRecord:
     config_hash: str
     wall_time_s: float
     outputs: dict
+    stages: dict = field(default_factory=dict)
 
     def to_json(self, precision: int = DEFAULT_PRECISION) -> str:
         return json.dumps(_round_floats(asdict(self), precision), sort_keys=True)
@@ -320,8 +328,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def _write_trajectory_csv(
     path: str, traj: Trajectory, m: ModelParams, cfg: IntegratorConfig, precision: int
 ) -> None:
+    # Rows are formatted a column chunk at a time with one line template;
+    # "%.{p}g" % x is format(x, ".{p}g"), so the text is that of fmt_float,
+    # and no formatted float needs csv quoting. Chunks bound the text held.
     with_h = m.mu == 0.0
     columns = [traj.t, traj.x, traj.v] + ([energy_series(traj, m)] if with_h else [])
+    line = ",".join([f"%.{precision}g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(f"# pullin-dyn simulate version={__version__}\n")
         fh.write(f"# params xi={m.xi!r} v={m.v!r} kappa={m.kappa!r} mu={m.mu!r}\n")
@@ -329,10 +341,10 @@ def _write_trajectory_csv(
             f"# config scheme={cfg.scheme} dt={cfg.dt!r} t_max={cfg.t_max!r} "
             f"contact_epsilon={cfg.contact_epsilon!r}\n"
         )
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "x", "v"] + (["H"] if with_h else []))
-        for row in zip(*columns):
-            writer.writerow([fmt_float(float(val), precision) for val in row])
+        fh.write(",".join(["t", "x", "v"] + (["H"] if with_h else [])) + "\n")
+        for i in range(0, len(traj), _CSV_CHUNK_ROWS):
+            rows = zip(*(c[i : i + _CSV_CHUNK_ROWS].tolist() for c in columns))
+            fh.write("".join([line % row for row in rows]))
         for ev in traj.events:
             fh.write(
                 f"# event,{ev.kind},{fmt_float(ev.t, precision)},{fmt_float(ev.x, precision)}\n"
@@ -340,20 +352,26 @@ def _write_trajectory_csv(
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    started = time.perf_counter()
     precision = _resolve_precision(args)
     m = _resolve_model(args)
     cfg = _resolve_cfg(args)
-    started = time.perf_counter()
+    resolved = time.perf_counter()
     traj = integrate(m, cfg)
-    wall = time.perf_counter() - started
+    integrated = time.perf_counter()
     _write_trajectory_csv(args.output, traj, m, cfg, precision)
+    stages = {
+        "resolve_s": resolved - started,
+        "integrate_s": integrated - resolved,
+        "write_s": time.perf_counter() - integrated,
+    }
     params = {"xi": m.xi, "v": m.v, "kappa": m.kappa, "mu": m.mu, **asdict(cfg)}
     record = RunRecord(
         command="simulate",
         params=params,
         version=__version__,
         config_hash=_config_hash(params),
-        wall_time_s=wall,
+        wall_time_s=sum(stages.values()),
         outputs={
             "samples": len(traj),
             "terminated_by": traj.terminated_by,
@@ -361,6 +379,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "events": [[e.kind, e.t, e.x] for e in traj.events],
             "path": args.output,
         },
+        stages=stages,
     )
     print(record.to_json(precision))
     return EXIT_OK
@@ -376,7 +395,7 @@ def cmd_period(args: argparse.Namespace) -> int:
             f"regime is '{cls.regime}'; period requires a subcritical voltage "
             "(see the classify subcommand)"
         )
-    scales = period_by_quadrature(m)
+    scales = period_by_quadrature(m, cls=cls)
     quad_result = {"t_s": scales.t_s, "t_p": scales.t_p}
     ode_result = None
     if method in ("ode", "both"):
@@ -429,7 +448,7 @@ def _sweep_row(xi: float, kappa: float, v: float, wanted: tuple[str, ...]) -> di
         if cls.regime == REGIME_PERIODIC:
             row["x_s"] = cls.x_s
             if "t_p" in wanted:
-                row["t_p"] = period_by_quadrature(m).t_p
+                row["t_p"] = period_by_quadrature(m, cls=cls).t_p
         elif cls.regime == REGIME_TOUCHDOWN and "t_c" in wanted:
             row["t_c"] = contact_time_by_quadrature(m)
     except PullInDynError as exc:

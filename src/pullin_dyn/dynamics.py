@@ -315,6 +315,9 @@ def _run_symplectic(
     implicitly, which reduces to plain velocity Verlet at mu = 0.
     """
     col = _Collector()
+    # regular steps append directly and check t against the loop's t, which
+    # is always the last sample's t
+    t_append, x_append, v_append = col.t.append, col.x.append, col.v.append
     dt_base = cfg.dt
     zone = _CONTACT_ZONE * surface
     trigger = surface - cfg.contact_epsilon
@@ -386,8 +389,14 @@ def _run_symplectic(
                 continue
             col.events.append(Event(EVENT_STAGNATION, t_star, x_star))
 
+        if t_new <= t:
+            raise IntegratorFailureError(
+                f"samples not strictly increasing in t at t={t_new}"
+            )
         t, x, v, a = t_new, x_new, v_new, a_new
-        col.add(t, x, v)
+        t_append(t)
+        x_append(x)
+        v_append(v)
 
     return col
 
@@ -668,22 +677,22 @@ def integrate_critical(
         )
     xs = m.x_singular
     x0 = cls.threshold.x0
-    # residual as a polynomial, deflated twice at its double root
+    # residual as a polynomial, deflated twice at its double root; a linear
+    # model leaves the constant q, padded to the cubic model's quadratic
+    # (0 x + 0) x + c, which evaluates to c exactly
     q1, _ = deflate(g_coeffs(m.xi, m.v, m.kappa), x0)
     qt, _ = deflate(q1, x0)
+    c0, c1, c2 = qt if len(qt) == 3 else (0.0, 0.0) + qt
+    sqrt = math.sqrt
 
     def rate(u: float) -> float:
         x = x0 - u
-        q = qt[0]
-        for c in qt[1:]:
-            q = q * x + c
-        val = x * q / (xs - x)
-        return math.sqrt(val) if val > 0.0 else 0.0
-
-    def du(u: float) -> float:
-        return -u * rate(u)
+        val = x * ((c0 * x + c1) * x + c2) / (xs - x)
+        return sqrt(val) if val > 0.0 else 0.0
 
     dt = cfg.dt
+    t_max = cfg.t_max
+    t_end = t_max - 1e-12
     a0 = 0.5 * m.v * m.v / (xs * xs)
     t1 = dt
     x_start = 0.5 * a0 * t1 * t1
@@ -691,24 +700,32 @@ def integrate_critical(
     ts = [0.0, t1]
     us = [x0, x0 - x_start]
     vs = [0.0, a0 * t1]
+    ts_append, us_append, vs_append = ts.append, us.append, vs.append
     u = x0 - x_start
+    r = rate(u)
     t = t1
     strictly_decreasing = True
-    while t < cfg.t_max - 1e-12:
-        h = min(dt, cfg.t_max - t)
-        k1 = du(u)
-        k2 = du(u + 0.5 * h * k1)
-        k3 = du(u + 0.5 * h * k2)
-        k4 = du(u + h * k3)
+    # RK4 on du/dt = -u rate(u); k1 of a step is minus the velocity sample
+    # of the state it starts from
+    while t < t_end:
+        h = dt if dt <= t_max - t else t_max - t
+        k1 = -u * r
+        w = u + 0.5 * h * k1
+        k2 = -w * rate(w)
+        w = u + 0.5 * h * k2
+        k3 = -w * rate(w)
+        w = u + h * k3
+        k4 = -w * rate(w)
         u_new = u + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not 0.0 < u_new < u:
             strictly_decreasing = False
             u_new = min(max(u_new, 1e-300), u)
         t += h
         u = u_new
-        ts.append(t)
-        us.append(u)
-        vs.append(u * rate(u))
+        r = rate(u)
+        ts_append(t)
+        us_append(u)
+        vs_append(u * r)
 
     gap = np.asarray(us)
     traj = Trajectory(

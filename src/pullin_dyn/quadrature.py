@@ -21,6 +21,7 @@ import numpy as np
 from .analysis import (
     REGIME_PERIODIC,
     REGIME_TOUCHDOWN,
+    RegimeClassification,
     classify_regime,
     g_of_x,
     periodic_factorization,
@@ -93,14 +94,19 @@ def _bounds_subcritical(xi: float, x1: float, x2: float) -> tuple[float, float]:
     return t1, 2.0 * math.sqrt((xs - 0.5 * x1) / (x2 - x1)) + t1
 
 
-def period_by_quadrature(m: ModelParams) -> TimeScales:
+def period_by_quadrature(
+    m: ModelParams, *, cls: RegimeClassification | None = None
+) -> TimeScales:
     """Stagnation time and period of the subcritical motion.
 
     The substitution x = x1 sin^2(theta) turns the half-orbit time integral
     into the smooth integral of 2 sqrt((xi+1-x)/((x2-x) q(x))) over
-    [0, pi/2], evaluated by node-doubling Gauss-Legendre.
+    [0, pi/2], evaluated by node-doubling Gauss-Legendre. A caller that has
+    already classified m passes that classification as cls, so the
+    stagnation root is not solved again.
     """
-    cls = classify_regime(m)
+    if cls is None:
+        cls = classify_regime(m)
     if cls.regime != REGIME_PERIODIC:
         raise SupercriticalError(
             f"period undefined in regime '{cls.regime}' (v={m.v}, v_dpi={cls.threshold.v_dpi})"

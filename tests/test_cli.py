@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -7,8 +9,8 @@ import sys
 import pytest
 
 import pullin_dyn
-from pullin_dyn import analysis, pullin
-from pullin_dyn.cli import RunRecord, fmt_float, main
+from pullin_dyn import IntegratorConfig, ModelParams, analysis, energy_series, integrate, pullin
+from pullin_dyn.cli import _CSV_CHUNK_ROWS, RunRecord, fmt_float, main
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +120,57 @@ def test_simulate_damped_omits_energy_column(capsys, tmp_path):
     assert data[0] == "t,x,v"
 
 
+def _reference_trajectory_csv(traj, m, cfg, precision):
+    # one csv.writer row of format()ed cells per sample
+    buf = io.StringIO()
+    buf.write(f"# pullin-dyn simulate version={pullin_dyn.__version__}\n")
+    buf.write(f"# params xi={m.xi!r} v={m.v!r} kappa={m.kappa!r} mu={m.mu!r}\n")
+    buf.write(
+        f"# config scheme={cfg.scheme} dt={cfg.dt!r} t_max={cfg.t_max!r} "
+        f"contact_epsilon={cfg.contact_epsilon!r}\n"
+    )
+    with_h = m.mu == 0.0
+    columns = [traj.t, traj.x, traj.v] + ([energy_series(traj, m)] if with_h else [])
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "x", "v"] + (["H"] if with_h else []))
+    for row in zip(*columns):
+        writer.writerow([format(float(val), f".{precision}g") for val in row])
+    for ev in traj.events:
+        buf.write(
+            f"# event,{ev.kind},{format(ev.t, f'.{precision}g')},{format(ev.x, f'.{precision}g')}\n"
+        )
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("precision", [6, 12, 17])
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+def test_simulate_csv_matches_per_cell_reference(capsys, tmp_path, precision, mu):
+    m = ModelParams(xi=0.3, v=0.35, kappa=0.5, mu=mu)
+    cfg = IntegratorConfig(dt=1e-3, t_max=9.5)
+    path = tmp_path / "traj.csv"
+    run_json(
+        capsys, "simulate", "--xi", "0.3", "--v", "0.35", "--kappa", "0.5", "--mu", repr(mu),
+        "--dt", "1e-3", "--t-max", "9.5", "--precision", str(precision), "--output", str(path),
+    )
+    traj = integrate(m, cfg)
+    # two whole chunks and a partial one
+    assert 2 * _CSV_CHUNK_ROWS < len(traj) < 3 * _CSV_CHUNK_ROWS
+    assert traj.events
+    expected = _reference_trajectory_csv(traj, m, cfg, precision)
+    assert path.read_text() == expected
+
+
+def test_simulate_record_stages(capsys, tmp_path):
+    argv = ["simulate", "--xi", "0", "--v", "0.4", "--dt", "1e-3", "--t-max", "2"]
+    a = run_json(capsys, *argv, "--output", str(tmp_path / "a.csv"))
+    b = run_json(capsys, *argv, "--output", str(tmp_path / "b.csv"))
+    for rec in (a, b):
+        assert set(rec["stages"]) == {"resolve_s", "integrate_s", "write_s"}
+        assert all(val >= 0.0 for val in rec["stages"].values())
+        assert rec["wall_time_s"] == pytest.approx(sum(rec["stages"].values()), rel=1e-9)
+    assert a["config_hash"] == b["config_hash"]
+
+
 def test_simulate_rows_increasing_and_roundtrip(capsys, tmp_path):
     path = tmp_path / "traj.csv"
     run_json(
@@ -221,8 +274,8 @@ def test_sweep_deterministic_across_jobs(capsys, tmp_path):
 
 
 def test_sweep_solves_statics_once_per_row(capsys, tmp_path, monkeypatch):
-    # x0 once per (xi, kappa); per periodic row x_s twice (the row's
-    # classification and the period's) and x2 once
+    # x0 once per (xi, kappa); per periodic row x_s once (the row's
+    # classification, which the period reuses) and x2 once
     calls = []
     real = analysis.bracketed_root
 
@@ -239,7 +292,7 @@ def test_sweep_solves_statics_once_per_row(capsys, tmp_path, monkeypatch):
     )
     rows = (tmp_path / "s.csv").read_text().splitlines()[3:]
     assert len(rows) == n and all(",periodic," in r for r in rows)
-    assert len(calls) <= 3 * n + 1
+    assert len(calls) <= 2 * n + 1
 
 
 def test_cold_import_loads_no_scipy_and_no_process_pool():
@@ -325,8 +378,9 @@ def test_run_record_roundtrip():
         params={"xi": 0.0, "v": 0.4},
         version="0.1.0",
         config_hash="abc123def456",
-        wall_time_s=0.125,
+        wall_time_s=0.375,
         outputs={"samples": 10},
+        stages={"resolve_s": 0.0625, "integrate_s": 0.125, "write_s": 0.1875},
     )
     back = RunRecord.from_json(rec.to_json())
     assert back == rec

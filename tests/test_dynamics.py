@@ -13,6 +13,7 @@ from pullin_dyn import (
     ModelParams,
     NotApplicableError,
     RegimeMismatchError,
+    classify_regime,
     cubic_min_point,
     cubic_pullin,
     energy_series,
@@ -21,8 +22,10 @@ from pullin_dyn import (
     integrate,
     integrate_critical,
     integrate_generic,
+    pullin,
     verify_periodicity,
 )
+from pullin_dyn.model import deflate, g_coeffs
 from pullin_dyn.quadrature import contact_time_by_quadrature, period_by_quadrature
 
 GENERIC_TC_BOUND_MU1 = 1.8414056604369606378  # root of t + exp(-t) = 2
@@ -205,6 +208,58 @@ def test_integrate_critical_cubic():
     assert rep.x_limit == pytest.approx(cubic_min_point(0.0, 1.0), abs=1e-12)
     assert rep.gap_strictly_decreasing and rep.always_below_limit
     assert rep.final_gap < 1e-2
+
+
+def _reference_critical(m: ModelParams, dt: float, t_max: float):
+    # classical RK4 on du/dt = -u rate(u), five rate evaluations per step
+    xs = m.x_singular
+    x0 = classify_regime(m).threshold.x0
+    q1, _ = deflate(g_coeffs(m.xi, m.v, m.kappa), x0)
+    qt, _ = deflate(q1, x0)
+
+    def rate(u):
+        x = x0 - u
+        q = qt[0]
+        for c in qt[1:]:
+            q = q * x + c
+        val = x * q / (xs - x)
+        return math.sqrt(val) if val > 0.0 else 0.0
+
+    def du(u):
+        return -u * rate(u)
+
+    a0 = 0.5 * m.v * m.v / (xs * xs)
+    x_start = 0.5 * a0 * dt * dt
+    ts, us, vs = [0.0, dt], [x0, x0 - x_start], [0.0, a0 * dt]
+    u, t = x0 - x_start, dt
+    while t < t_max - 1e-12:
+        h = min(dt, t_max - t)
+        k1 = du(u)
+        k2 = du(u + 0.5 * h * k1)
+        k3 = du(u + 0.5 * h * k2)
+        k4 = du(u + h * k3)
+        u_new = u + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not 0.0 < u_new < u:
+            u_new = min(max(u_new, 1e-300), u)
+        t += h
+        u = u_new
+        ts.append(t)
+        us.append(u)
+        vs.append(u * rate(u))
+    gap = np.asarray(us)
+    return np.asarray(ts), x0 - gap, np.asarray(vs), gap
+
+
+@pytest.mark.parametrize("xi,kappa", [(0.5, 0.0), (0.2, 1.0)])
+def test_integrate_critical_matches_reference_loop_bitwise(xi, kappa):
+    m = ModelParams(xi=xi, v=pullin(xi, kappa).v_dpi, kappa=kappa)
+    traj, rep = integrate_critical(m, IntegratorConfig(dt=1e-3, t_max=2.0))
+    t, x, v, gap = _reference_critical(m, 1e-3, 2.0)
+    assert len(t) == 2001
+    assert np.array_equal(traj.t, t)
+    assert np.array_equal(traj.x, x)
+    assert np.array_equal(traj.v, v)
+    assert np.array_equal(rep.gap, gap)
 
 
 def test_integrate_critical_rejects_other_regimes():
