@@ -6,6 +6,8 @@ from typing import Callable
 
 from .errors import InvalidParameterError
 
+_MAX_ITER = 200
+
 
 def bracketed_root(
     f: Callable[[float], float],
@@ -13,7 +15,6 @@ def bracketed_root(
     hi: float,
     fprime: Callable[[float], float] | None = None,
     xtol: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Find the root of f in [lo, hi] to absolute x-tolerance xtol.
 
@@ -33,7 +34,7 @@ def bracketed_root(
 
     x = 0.5 * (lo + hi)
     force_bisect = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         width_before = hi - lo
         fx = f(x)
         if fx == 0.0:

@@ -97,12 +97,9 @@ def _g_root(xi: float, v: float, kappa: float, lo: float, hi: float) -> float:
     )
 
 
-def linear_factorization(xi: float, v: float) -> FirstIntegralFactorization:
-    """Factor the linear-elasticity first integral over its two real roots.
-
-    Requires the subcritical condition v^2 < (xi+1)^3 / 4; then
-    0 <= x1 < x2 < xi+1 and v^2 = x/(xi+1-x) (x1-x)(x2-x).
-    """
+def _linear_roots(xi: float, v: float) -> tuple[float, float]:
+    # the two real roots 0 <= x1 < x2 < xi+1 of the linear-elasticity g,
+    # which exist under the subcritical condition v^2 < (xi+1)^3 / 4
     xs = xi + 1.0
     disc = xs * xs - 4.0 * v * v / xs
     if disc <= 0.0:
@@ -110,24 +107,7 @@ def linear_factorization(xi: float, v: float) -> FirstIntegralFactorization:
             f"v={v} at or above pull-in {0.5 * xs ** 1.5}; use classify_regime"
         )
     root = math.sqrt(disc)
-    x1 = 0.5 * (xs - root)
-    x2 = 0.5 * (xs + root)
-    return FirstIntegralFactorization(x1=x1, x2=x2, q_coeffs=(1.0,), case_tag="linear")
-
-
-def stagnation_linear(xi: float, v: float) -> float:
-    """Stagnation position of the subcritical linear-elasticity motion."""
-    return linear_factorization(xi, v).x1
-
-
-def pullin_linear(xi: float) -> PullInResult:
-    """Closed-form pull-in threshold for linear elasticity."""
-    if xi < 0.0:
-        raise InvalidParameterError("xi must be nonnegative")
-    xs = xi + 1.0
-    return PullInResult(
-        v_dpi=0.5 * xs**1.5, x_dpi=0.5 * xs, x0=0.5 * xs, kappa=0.0, xi=xi
-    )
+    return 0.5 * (xs - root), 0.5 * (xs + root)
 
 
 def cubic_min_point(xi: float, kappa: float) -> float:
@@ -151,33 +131,33 @@ def cubic_min_point(xi: float, kappa: float) -> float:
 
 
 @lru_cache(maxsize=256, typed=True)
-def cubic_pullin(xi: float, kappa: float) -> PullInResult:
-    """Pull-in threshold for cubic elasticity; reduces to the linear formulas at kappa = 0.
+def pullin(xi: float, kappa: float = 0.0) -> PullInResult:
+    """Pull-in threshold; kappa = 0 is the closed-form linear-elasticity case.
 
     Depends on (xi, kappa) only, so each pair is solved once and cached.
     """
     if kappa == 0.0:
-        return pullin_linear(xi)
+        if xi < 0.0:
+            raise InvalidParameterError("xi must be nonnegative")
+        xs = xi + 1.0
+        return PullInResult(
+            v_dpi=0.5 * xs**1.5, x_dpi=0.5 * xs, x0=0.5 * xs, kappa=0.0, xi=xi
+        )
     x0 = cubic_min_point(xi, kappa)
     xs = xi + 1.0
     v_dpi = math.sqrt(xs * -g_of_x(x0, xi, 0.0, kappa))
     return PullInResult(v_dpi=v_dpi, x_dpi=x0, x0=x0, kappa=kappa, xi=xi)
 
 
-def pullin(xi: float, kappa: float = 0.0) -> PullInResult:
-    """Pull-in threshold for either elasticity variant."""
-    return cubic_pullin(xi, kappa)
+def stagnation(xi: float, v: float, kappa: float = 0.0) -> float:
+    """Stagnation position of the subcritical motion: smaller root of g in (0, x0).
 
-
-def cubic_stagnation(xi: float, v: float, kappa: float) -> float:
-    """Stagnation position for cubic elasticity: smaller root of g in (0, x0).
-
-    Requires v below the cubic pull-in voltage. Equals the linear stagnation
-    position at kappa = 0 and is smaller than it for kappa > 0.
+    Requires v below the pull-in voltage. The kappa = 0 value is closed-form,
+    and for kappa > 0 the position is smaller than it.
     """
     if kappa == 0.0:
-        return stagnation_linear(xi, v)
-    thr = cubic_pullin(xi, kappa)
+        return _linear_roots(xi, v)[0]
+    thr = pullin(xi, kappa)
     if v >= thr.v_dpi:
         raise SupercriticalError(f"v={v} at or above pull-in {thr.v_dpi}; use classify_regime")
     if v == 0.0:
@@ -185,36 +165,24 @@ def cubic_stagnation(xi: float, v: float, kappa: float) -> float:
     return _g_root(xi, v, kappa, 0.0, thr.x0)
 
 
-def stagnation(xi: float, v: float, kappa: float = 0.0) -> float:
-    """Stagnation position for either elasticity variant."""
-    return cubic_stagnation(xi, v, kappa)
-
-
-def cubic_factorization(xi: float, v: float, kappa: float) -> FirstIntegralFactorization:
-    """Factor the cubic-elasticity first integral as (x1-x)(x2-x) q(x).
+def cubic_factorization(
+    xi: float, v: float, kappa: float = 0.0, x1: float | None = None
+) -> FirstIntegralFactorization:
+    """Factor the first integral as v^2 = x/(xi+1-x) (x1-x)(x2-x) q(x).
 
     x1 and x2 are the two roots of g bracketing its minimizer x0, and q is the
-    positive quadratic quotient of g by the monic (x - x1)(x - x2).
+    positive quadratic quotient of g by the monic (x - x1)(x - x2); at
+    kappa = 0 both roots are closed-form and q is the constant 1. A caller
+    that already holds the stagnation position passes it as x1.
     """
     if kappa == 0.0:
-        return linear_factorization(xi, v)
-    x0 = cubic_pullin(xi, kappa).x0
-    return _cubic_factors(xi, v, kappa, x0, cubic_stagnation(xi, v, kappa))
-
-
-def periodic_factorization(cls: RegimeClassification) -> FirstIntegralFactorization:
-    """Factorization of a periodic classification, reusing its x0 and x_s."""
-    thr = cls.threshold
-    if thr.kappa == 0.0:
-        return linear_factorization(thr.xi, cls.v_applied)
-    return _cubic_factors(thr.xi, cls.v_applied, thr.kappa, thr.x0, cls.x_s)
-
-
-def _cubic_factors(
-    xi: float, v: float, kappa: float, x0: float, x1: float
-) -> FirstIntegralFactorization:
-    # x2 is the root of g above x0; q is g deflated at x1, then at x2
+        x1, x2 = _linear_roots(xi, v)
+        return FirstIntegralFactorization(x1=x1, x2=x2, q_coeffs=(1.0,), case_tag="linear")
     xs = xi + 1.0
+    x0 = pullin(xi, kappa).x0
+    if x1 is None:
+        x1 = stagnation(xi, v, kappa)
+    # x2 is the root of g above x0; q is g deflated at x1, then at x2
     x2 = _g_root(xi, v, kappa, x0, xs - 1e-15)
     q1, rem1 = deflate(g_coeffs(xi, v, kappa), x1)
     quot, rem2 = deflate(q1, x2)
@@ -224,6 +192,12 @@ def _cubic_factors(
     return FirstIntegralFactorization(
         x1=x1, x2=x2, q_coeffs=tuple(float(c) for c in quot), case_tag="cubic"
     )
+
+
+# The linear-elasticity quantities are the kappa = 0 cases of the same functions.
+pullin_linear = cubic_pullin = pullin
+stagnation_linear = cubic_stagnation = stagnation
+linear_factorization = cubic_factorization
 
 
 def classify_regime(m: ModelParams, eps_v: float = 1e-12) -> RegimeClassification:
@@ -260,38 +234,23 @@ def classify_regime(m: ModelParams, eps_v: float = 1e-12) -> RegimeClassificatio
     )
 
 
-def stagnation_sensitivities(
-    xi: float, v: float, kappa: float, verify: bool = False
-) -> tuple[float, float]:
+def stagnation_sensitivities(xi: float, v: float, kappa: float) -> tuple[float, float]:
     """Partial derivatives (d x_s / d kappa, d x_s / d v) of the stagnation position.
 
     Computed by implicit differentiation of g(x_s) = 0:
     d x_s/d kappa = (xi+1-x_s) x_s^3 / (2 g'(x_s)) < 0 and
     d x_s/d v = -(2v/(xi+1)) / g'(x_s) > 0, using g'(x_s) < 0.
-    With verify=True a central finite difference cross-check (step 1e-6) must
-    agree to 1e-4 relative, otherwise an ArithmeticError is raised.
     """
-    x1 = cubic_stagnation(xi, v, kappa)
+    x1 = stagnation(xi, v, kappa)
     gp = g_prime_of_x(x1, xi, kappa)
     if gp >= 0.0:
         raise InvalidParameterError("stagnation point is not on the descending branch")
     d_kappa = 0.5 * (xi + 1.0 - x1) * x1**3 / gp
     d_v = -(2.0 * v / (xi + 1.0)) / gp
-    if verify:
-        step = 1e-6
-        fd_kappa = (
-            cubic_stagnation(xi, v, kappa + step) - cubic_stagnation(xi, v, max(kappa - step, 0.0))
-        ) / (step + min(kappa, step))
-        fd_v = (cubic_stagnation(xi, v + step, kappa) - cubic_stagnation(xi, v - step, kappa)) / (
-            2.0 * step
-        )
-        _check_fd("d x_s/d {}", (("kappa", d_kappa, fd_kappa), ("v", d_v, fd_v)))
     return d_kappa, d_v
 
 
-def pullin_sensitivity(
-    xi: float, kappa: float, verify: bool = False
-) -> tuple[float, float]:
+def pullin_sensitivity(xi: float, kappa: float) -> tuple[float, float]:
     """Derivatives (d x0 / d kappa, d v_dpi / d kappa) of the pull-in point.
 
     Both are strictly positive: stiffening the cubic spring raises the pull-in
@@ -300,31 +259,18 @@ def pullin_sensitivity(
     """
     if kappa == 0.0:
         step = 1e-6
-        p0, p1, p2 = (cubic_pullin(xi, k) for k in (0.0, step, 2.0 * step))
+        p0, p1, p2 = (pullin(xi, k) for k in (0.0, step, 2.0 * step))
         # second-order one-sided difference toward kappa -> 0+
         return (
             (4.0 * p1.x0 - 3.0 * p0.x0 - p2.x0) / (2.0 * step),
             (4.0 * p1.v_dpi - 3.0 * p0.v_dpi - p2.v_dpi) / (2.0 * step),
         )
-    x0 = cubic_pullin(xi, kappa).x0
+    x0 = pullin(xi, kappa).x0
     xs = xi + 1.0
     d_x0 = (2.0 / kappa) * (x0 - 0.5 * xs) / g_second_of_x(x0, xi, kappa)
     h0 = -g_of_x(x0, xi, 0.0, kappa)
     d_v = 0.5 * math.sqrt(xs / h0) * (0.5 * (xs - x0) * x0**3)
-    if verify:
-        step = 1e-6
-        up, down = cubic_pullin(xi, kappa + step), cubic_pullin(xi, kappa - step)
-        fd_x0 = (up.x0 - down.x0) / (2.0 * step)
-        fd_v = (up.v_dpi - down.v_dpi) / (2.0 * step)
-        _check_fd("d {}/d kappa", (("x0", d_x0, fd_x0), ("v_dpi", d_v, fd_v)))
     return d_x0, d_v
-
-
-def _check_fd(label: str, checks) -> None:
-    # analytic derivative against its finite difference, to 1e-4 relative
-    for name, an, fd in checks:
-        if abs(an - fd) > 1e-4 * max(abs(an), 1e-12):
-            raise ArithmeticError(f"{label.format(name)}: analytic {an} vs finite difference {fd}")
 
 
 # re-exported for callers needing the supercritical counterpart explicitly

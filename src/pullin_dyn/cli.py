@@ -69,6 +69,8 @@ _CFG_KEYS = (
     "event_refine_tol",
 )
 _SWEEP_COLUMNS = ("x_s", "t_p", "t_c", "regime", "v_dpi", "x_dpi")
+# Allowed values of the keys with a fixed set, for flags and config files alike.
+_CHOICES = {"format": ("csv", "json"), "method": ("quad", "ode", "both")}
 # Trajectory rows formatted per write: whole-file joins cost megabytes of text.
 _CSV_CHUNK_ROWS = 4096
 
@@ -101,8 +103,8 @@ class RunRecord:
     """Reproducibility record emitted alongside file outputs.
 
     stages holds the seconds of each stage of a run (simulate: resolve_s,
-    integrate_s, write_s), and wall_time_s is then their sum. Timings never
-    enter config_hash.
+    integrate_s, write_s; sweep: rows_s, write_s), and wall_time_s is their
+    sum. Timings never enter config_hash.
     """
 
     command: str
@@ -136,6 +138,8 @@ def _read_config(path: str) -> dict:
 
 
 def _coerce(key: str, val: str):
+    if key in _CHOICES and val not in _CHOICES[key]:
+        raise InvalidParameterError(f"config {key}={val!r} is not one of {', '.join(_CHOICES[key])}")
     if key in ("scheme", "format", "outputs", "method", "output"):
         return val
     if key.endswith("_range"):
@@ -162,14 +166,19 @@ def _effective(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
 def _resolve_precision(args: argparse.Namespace) -> int:
     eff = _effective(args, ("precision",))
     if "precision" in eff:
-        return int(eff["precision"])
-    env = os.environ.get(_PRECISION_ENV)
-    if env is not None:
+        precision = int(eff["precision"])
+        source = "--precision" if hasattr(args, "precision") else "config precision"
+    else:
+        env = os.environ.get(_PRECISION_ENV)
+        if env is None:
+            return DEFAULT_PRECISION
         try:
-            return int(env)
+            precision, source = int(env), _PRECISION_ENV
         except ValueError as exc:
             raise InvalidParameterError(f"bad {_PRECISION_ENV}: {env!r}") from exc
-    return DEFAULT_PRECISION
+    if precision < 0:
+        raise InvalidParameterError(f"{source} must be >= 0, got {precision}")
+    return precision
 
 
 def _resolve_model(args: argparse.Namespace) -> ModelParams:
@@ -253,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     _add_cfg_args(p)
     _add_common(p)
-    p.add_argument("--method", choices=["quad", "ode", "both"], default=argparse.SUPPRESS)
+    p.add_argument("--method", choices=_CHOICES["method"], default=argparse.SUPPRESS)
 
     p = sub.add_parser("sweep", help="parameter sweep table")
     _add_common(p)
@@ -267,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-max", dest="v_max", type=float, default=argparse.SUPPRESS)
     p.add_argument("--v-steps", dest="v_steps", type=int, default=argparse.SUPPRESS)
     p.add_argument("--outputs", default=argparse.SUPPRESS, help="comma list of columns")
-    p.add_argument("--format", choices=["csv", "json"], default=argparse.SUPPRESS)
+    p.add_argument("--format", choices=_CHOICES["format"], default=argparse.SUPPRESS)
     p.add_argument("--output", required=True)
     p.add_argument("--jobs", type=int, default=argparse.SUPPRESS, help="kept for compatibility; rows run serially")
 
@@ -450,7 +459,7 @@ def _sweep_row(xi: float, kappa: float, v: float, wanted: tuple[str, ...]) -> di
             if "t_p" in wanted:
                 row["t_p"] = period_by_quadrature(m, cls=cls).t_p
         elif cls.regime == REGIME_TOUCHDOWN and "t_c" in wanted:
-            row["t_c"] = contact_time_by_quadrature(m)
+            row["t_c"] = contact_time_by_quadrature(m, cls=cls)
     except PullInDynError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -493,7 +502,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     rows = [_sweep_row(xi, kappa, v, wanted) for xi in xis for kappa in kappas for v in vs]
-    wall = time.perf_counter() - started
+    rows_done = time.perf_counter()
 
     spec = {
         "xi": xis if len(xis) > 1 else xis[0],
@@ -524,14 +533,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for row in rows:
                 writer.writerow([_csv_cell(row[col], precision) for col in columns])
 
+    stages = {"rows_s": rows_done - started, "write_s": time.perf_counter() - rows_done}
     params = {**spec, "output": args.output}
     record = RunRecord(
         command="sweep",
         params=params,
         version=__version__,
         config_hash=_config_hash({k: str(v) for k, v in params.items()}),
-        wall_time_s=wall,
+        wall_time_s=sum(stages.values()),
         outputs={"rows": len(rows), "path": args.output},
+        stages=stages,
     )
     print(record.to_json(precision))
     return EXIT_OK

@@ -23,8 +23,8 @@ from .analysis import (
     REGIME_TOUCHDOWN,
     RegimeClassification,
     classify_regime,
+    cubic_factorization,
     g_of_x,
-    periodic_factorization,
 )
 from .errors import (
     QuadratureFailureError,
@@ -44,16 +44,17 @@ _HALF_PI = 0.5 * math.pi  # theta range of the sin^2 substitution
 class TimeScales:
     """Computed time scales with their analytic upper bounds.
 
-    t_p = 2 t_s by construction of the symmetric periodic extension. Fields
-    not defined in the current regime are None.
+    t_p = 2 t_s by construction of the symmetric periodic extension. nodes is
+    the Gauss-Legendre order that produced t_s, and err_est the change from
+    the previous order, the quadrature's error estimate.
     """
 
     t_s: float | None = None
     t_p: float | None = None
-    t_c: float | None = None
     t1_bound: float | None = None
     ts_bound: float | None = None
-    tc_bound: float | None = None
+    nodes: int | None = None
+    err_est: float | None = None
 
 
 @lru_cache(maxsize=32)
@@ -64,7 +65,7 @@ def gauss_nodes(n: int, length: float) -> tuple[np.ndarray, np.ndarray]:
     return half * (x + 1.0), half * w
 
 
-def _gauss_doubling(integrand, rtol: float = _RTOL) -> tuple[float, list[float]]:
+def _gauss_doubling(integrand) -> tuple[float, list[float]]:
     """Integrate over [0, pi/2] with node-doubling until successive values agree.
 
     Returns the converged value and the history of |change| between successive
@@ -80,11 +81,11 @@ def _gauss_doubling(integrand, rtol: float = _RTOL) -> tuple[float, list[float]]
         cur = float(np.dot(w, integrand(theta)))
         err = abs(cur - prev)
         history.append(err)
-        if err <= rtol * max(abs(cur), 1e-300):
+        if err <= _RTOL * max(abs(cur), 1e-300):
             return cur, history
         prev = cur
     raise QuadratureFailureError(
-        f"no convergence to rtol={rtol} after {_MAX_DOUBLINGS} doublings (last change {history[-1]})"
+        f"no convergence to rtol={_RTOL} after {_MAX_DOUBLINGS} doublings (last change {history[-1]})"
     )
 
 
@@ -111,7 +112,7 @@ def period_by_quadrature(
         raise SupercriticalError(
             f"period undefined in regime '{cls.regime}' (v={m.v}, v_dpi={cls.threshold.v_dpi})"
         )
-    fact = periodic_factorization(cls)
+    fact = cubic_factorization(m.xi, m.v, m.kappa, x1=cls.x_s)
     xs = m.xi + 1.0
     x1, x2 = fact.x1, fact.x2
 
@@ -119,20 +120,25 @@ def period_by_quadrature(
         x = x1 * np.sin(theta) ** 2
         return 2.0 * np.sqrt((xs - x) / ((x2 - x) * fact.q(x)))
 
-    t_s, _ = _gauss_doubling(integrand)
+    t_s, history = _gauss_doubling(integrand)
     t1_bound, ts_bound = _bounds_subcritical(m.xi, x1, x2)
-    return TimeScales(t_s=t_s, t_p=2.0 * t_s, t1_bound=t1_bound, ts_bound=ts_bound)
+    return TimeScales(
+        t_s=t_s, t_p=2.0 * t_s, t1_bound=t1_bound, ts_bound=ts_bound,
+        nodes=_BASE_NODES << len(history), err_est=history[-1],
+    )
 
 
-def contact_time_by_quadrature(m: ModelParams) -> float:
+def contact_time_by_quadrature(m: ModelParams, *, cls: RegimeClassification | None = None) -> float:
     """Contact time of the supercritical motion.
 
     With x = sin^2(theta) the integrand is 2 cos(theta)
     sqrt((xi+1-x)/g(x)) with g strictly positive on [0, 1]; for xi = 0 the
     remaining sqrt(1-x) factor reduces to cos(theta) exactly, so a single
-    smooth quadrature covers every xi >= 0.
+    smooth quadrature covers every xi >= 0. A caller that has already
+    classified m passes that classification as cls.
     """
-    cls = classify_regime(m)
+    if cls is None:
+        cls = classify_regime(m)
     if cls.regime != REGIME_TOUCHDOWN:
         raise SubcriticalError(
             f"contact time undefined in regime '{cls.regime}' (v={m.v}, v_dpi={cls.threshold.v_dpi})"
@@ -159,7 +165,7 @@ def analytic_bounds(m: ModelParams) -> tuple[float | None, float | None, float |
     """
     cls = classify_regime(m)
     if cls.regime == REGIME_PERIODIC:
-        fact = periodic_factorization(cls)
+        fact = cubic_factorization(m.xi, m.v, m.kappa, x1=cls.x_s)
         t1_bound, ts_bound = _bounds_subcritical(m.xi, fact.x1, fact.x2)
         return t1_bound, ts_bound, None
     if cls.regime == REGIME_TOUCHDOWN:

@@ -222,7 +222,7 @@ def test_stagnation_sensitivities_linear_anchor():
 
 
 def test_stagnation_sensitivities_signs_and_fd():
-    d_kappa, d_v = stagnation_sensitivities(0.0, 0.4, 0.5, verify=True)
+    d_kappa, d_v = stagnation_sensitivities(0.0, 0.4, 0.5)
     assert d_kappa < 0.0 and d_v > 0.0
     step = 1e-6
     fd_kappa = (
@@ -236,7 +236,7 @@ def test_stagnation_sensitivities_signs_and_fd():
 
 
 def test_pullin_sensitivity_positive_and_fd():
-    d_x0, d_v = pullin_sensitivity(0.0, 1.0, verify=True)
+    d_x0, d_v = pullin_sensitivity(0.0, 1.0)
     assert d_x0 > 0.0 and d_v > 0.0
     step = 1e-6
     fd_x0 = (cubic_min_point(0.0, 1.0 + step) - cubic_min_point(0.0, 1.0 - step)) / (2.0 * step)

@@ -1,15 +1,27 @@
 import csv
+import importlib
+import importlib.util
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import pullin_dyn
-from pullin_dyn import IntegratorConfig, ModelParams, analysis, energy_series, integrate, pullin
+from pullin_dyn import (
+    IntegratorConfig,
+    ModelParams,
+    analysis,
+    cli,
+    energy_series,
+    integrate,
+    pullin,
+    quadrature,
+)
 from pullin_dyn.cli import _CSV_CHUNK_ROWS, RunRecord, fmt_float, main
 
 
@@ -160,12 +172,26 @@ def test_simulate_csv_matches_per_cell_reference(capsys, tmp_path, precision, mu
     assert path.read_text() == expected
 
 
-def test_simulate_record_stages(capsys, tmp_path):
-    argv = ["simulate", "--xi", "0", "--v", "0.4", "--dt", "1e-3", "--t-max", "2"]
-    a = run_json(capsys, *argv, "--output", str(tmp_path / "a.csv"))
-    b = run_json(capsys, *argv, "--output", str(tmp_path / "b.csv"))
+@pytest.mark.parametrize(
+    "argv, stages",
+    [
+        (
+            ["simulate", "--xi", "0", "--v", "0.4", "--dt", "1e-3", "--t-max", "2"],
+            {"resolve_s", "integrate_s", "write_s"},
+        ),
+        (
+            ["sweep", "--xi", "0", "--v-min", "0.1", "--v-max", "0.7", "--v-steps", "5"],
+            {"rows_s", "write_s"},
+        ),
+    ],
+    ids=["simulate", "sweep"],
+)
+def test_record_stages(capsys, tmp_path, argv, stages):
+    # the same output path twice: a sweep record's params name its output
+    a = run_json(capsys, *argv, "--output", str(tmp_path / "out.csv"))
+    b = run_json(capsys, *argv, "--output", str(tmp_path / "out.csv"))
     for rec in (a, b):
-        assert set(rec["stages"]) == {"resolve_s", "integrate_s", "write_s"}
+        assert set(rec["stages"]) == stages
         assert all(val >= 0.0 for val in rec["stages"].values())
         assert rec["wall_time_s"] == pytest.approx(sum(rec["stages"].values()), rel=1e-9)
     assert a["config_hash"] == b["config_hash"]
@@ -295,6 +321,43 @@ def test_sweep_solves_statics_once_per_row(capsys, tmp_path, monkeypatch):
     assert len(calls) <= 2 * n + 1
 
 
+def test_sweep_classifies_each_row_once(capsys, tmp_path, monkeypatch):
+    # the row's classification is handed to the period and contact-time
+    # quadratures, which would otherwise classify the point again
+    calls = []
+    real = analysis.classify_regime
+
+    def counted(m, *args, **kwargs):
+        calls.append(1)
+        return real(m, *args, **kwargs)
+
+    for mod in (cli, quadrature):
+        monkeypatch.setattr(mod, "classify_regime", counted)
+    n = 10
+    run_json(
+        capsys, "sweep", "--xi", "0.3", "--kappa-range", "0", "0.4", "2", "--v-min", "0.2",
+        "--v-max", "1.2", "--v-steps", str(n), "--output", str(tmp_path / "s.csv"),
+    )
+    regimes = [r["regime"] for r in csv.DictReader(
+        ln for ln in (tmp_path / "s.csv").read_text().splitlines() if not ln.startswith("#")
+    )]
+    assert {"periodic", "touchdown"} <= set(regimes)
+    assert len(calls) == len(regimes) == 2 * n
+
+
+def test_benchmark_layer_names_resolve():
+    # the benchmark's tracer looks these names up on their modules
+    path = Path(__file__).resolve().parents[1] / "perf" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perf_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for modname, fns in spans.LAYERS.values():
+        mod = importlib.import_module(modname)
+        for fn in fns:
+            assert callable(getattr(mod, fn, None)), f"{modname}.{fn}"
+    assert callable(importlib.import_module("pullin_dyn.model").make_force)
+
+
 def test_cold_import_loads_no_scipy_and_no_process_pool():
     code = (
         "import sys, pullin_dyn.cli; "
@@ -362,6 +425,37 @@ def test_precision_flag_beats_env(capsys, monkeypatch):
     monkeypatch.setenv("PULLIN_DYN_PRECISION", "4")
     out = run_cli(capsys, "pullin", "--xi", "0", "--kappa", "1", "--precision", "8")
     assert '"v_dpi": 0.53388733' in out[1]
+
+
+def test_negative_precision_flag_exits_2(capsys):
+    code, out, err = run_cli(capsys, "pullin", "--xi", "0", "--precision", "-1")
+    assert code == 2 and out == ""
+    assert "--precision" in err
+
+
+def test_negative_precision_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("PULLIN_DYN_PRECISION", "-1")
+    code, out, err = run_cli(capsys, "pullin", "--xi", "0")
+    assert code == 2 and out == ""
+    assert "PULLIN_DYN_PRECISION" in err
+
+
+@pytest.mark.parametrize(
+    "line, argv",
+    [
+        ("format = xml", ["sweep", "--v-min", "0.1", "--v-max", "0.4", "--v-steps", "2"]),
+        ("method = bogus", ["period", "--xi", "0", "--v", "0.4"]),
+    ],
+)
+def test_config_choice_outside_flag_choices_exits_2(capsys, tmp_path, line, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out_path = tmp_path / "out.csv"
+    extra = ["--output", str(out_path)] if argv[0] == "sweep" else []
+    code, out, err = run_cli(capsys, *argv, *extra, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert line.split(" = ")[1] in err
+    assert not out_path.exists()
 
 
 def test_fmt_float_roundtrip_idempotent():

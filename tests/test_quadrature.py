@@ -120,6 +120,13 @@ def test_stagnation_time_within_bound_random_grid():
         assert ts.t_s <= ts.ts_bound
 
 
+def test_period_reports_nodes_and_error_estimate():
+    for m in (ModelParams(xi=0.0, v=0.4), ModelParams(xi=0.5, v=0.5, kappa=0.3)):
+        ts = period_by_quadrature(m)
+        assert ts.err_est <= 1e-10 * ts.t_s
+        assert ts.nodes >= 64 and ts.nodes & (ts.nodes - 1) == 0
+
+
 def test_node_doubling_error_estimates_decrease():
     def integrand(theta):
         return 1.0 / (1.0 + theta**2)
