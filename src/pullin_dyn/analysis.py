@@ -223,7 +223,8 @@ def classify_regime(m: ModelParams, eps_v: float = 1e-12) -> RegimeClassificatio
             threshold=thr,
             x_s=stagnation(m.xi, m.v, m.kappa),
         )
-    a_sq = float(g_of_x(thr.x0, m.xi, m.v, m.kappa))
+    # g(x0) = (v^2 - v_dpi^2)/(xi+1), with v - v_dpi exact: no cancellation
+    a_sq = delta * (m.v + thr.v_dpi) / (m.xi + 1.0)
     tc_bound = 2.0 * math.sqrt(m.xi + 1.0) / math.sqrt(a_sq)
     return RegimeClassification(
         regime=REGIME_TOUCHDOWN,

@@ -137,6 +137,13 @@ def _read_config(path: str) -> dict:
     return values
 
 
+def _number(convert, text: str, name: str):
+    try:
+        return convert(text)
+    except ValueError:
+        raise InvalidParameterError(f"{name}: {text!r} is not a number") from None
+
+
 def _coerce(key: str, val: str):
     if key in _CHOICES and val not in _CHOICES[key]:
         raise InvalidParameterError(f"config {key}={val!r} is not one of {', '.join(_CHOICES[key])}")
@@ -144,9 +151,7 @@ def _coerce(key: str, val: str):
         return val
     if key.endswith("_range"):
         return val.split(",")
-    if key in ("v_steps", "jobs", "precision"):
-        return int(val)
-    return float(val)
+    return _number(int if key in ("v_steps", "jobs", "precision") else float, val, f"config {key}")
 
 
 def _effective(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
@@ -433,7 +438,11 @@ def cmd_period(args: argparse.Namespace) -> int:
 def _axis(eff: dict, name: str) -> list[float]:
     rng = eff.get(f"{name}_range")
     if rng is not None:
-        lo, hi, steps = float(rng[0]), float(rng[1]), int(rng[2])
+        flag = f"--{name}-range"
+        if len(rng) != 3:
+            raise InvalidParameterError(f"{flag} takes MIN MAX STEPS, got {rng!r}")
+        lo, hi = _number(float, rng[0], flag), _number(float, rng[1], flag)
+        steps = _number(int, rng[2], flag)
         if steps < 2 or not hi > lo:
             raise InvalidParameterError(f"bad {name} range")
         return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]

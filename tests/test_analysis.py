@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -171,6 +172,16 @@ def test_classify_regime_three_cases():
     assert td.regime == "touchdown"
     assert td.a_sq == pytest.approx(0.11, rel=1e-12)
     assert td.tc_bound == pytest.approx(2.0 / math.sqrt(0.11), rel=1e-12)
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-6])
+def test_touchdown_a_sq_free_of_cancellation(delta):
+    # xi = 0, kappa = 0: v_dpi = 1/2 is exact, so a^2 = v^2 - 1/4 exactly;
+    # g evaluated at x0 rounds v^2 and is off by about delta/2 relative
+    v = 0.5 * (1.0 + delta)
+    td = classify_regime(ModelParams(xi=0.0, v=v), eps_v=1e-15)
+    exact = Fraction(v) ** 2 - Fraction(1, 4)
+    assert td.a_sq == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
 
 def test_classify_regime_band_is_inclusive():

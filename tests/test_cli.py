@@ -458,6 +458,27 @@ def test_config_choice_outside_flag_choices_exits_2(capsys, tmp_path, line, argv
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "config_line, argv, named",
+    [
+        ("v = abc", ["pullin", "--xi", "0"], "config v"),
+        (None, ["sweep", "--xi-range", "0", "1", "abc", "--v-min", "0.1", "--v-max", "0.4",
+                "--v-steps", "2"], "--xi-range"),
+    ],
+)
+def test_non_numeric_value_exits_2(capsys, tmp_path, config_line, argv, named):
+    extra = []
+    if config_line is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_line + "\n")
+        extra += ["--config", str(cfg)]
+    if argv[0] == "sweep":
+        extra += ["--output", str(tmp_path / "out.csv")]
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert code == 2 and out == ""
+    assert named in err and "abc" in err
+
+
 def test_fmt_float_roundtrip_idempotent():
     values = [0.1, 1.0 / 3.0, 7.132198208919252, 1e-15, 123456.789, 5.0e9, 2.0]
     for p in (4, 8, 12, 17):

@@ -1,20 +1,27 @@
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pullin_dyn import (
+    REGIME_TOUCHDOWN,
     ModelParams,
+    QuadratureFailureError,
     RegimeMismatchError,
     SubcriticalError,
     SupercriticalError,
     analytic_bounds,
+    classify_regime,
     contact_time_by_quadrature,
     convexity_bound,
     cubic_pullin,
     period_by_quadrature,
 )
-from pullin_dyn.quadrature import _gauss_doubling
+from pullin_dyn.quadrature import _HALF_PI, _MAX_NODES, _gauss_doubling, gauss_nodes
 
 # adaptive 40-digit quadrature references
 TS_XI0_V04 = 3.5660991044596260069
@@ -135,3 +142,92 @@ def test_node_doubling_error_estimates_decrease():
     assert len(history) >= 1
     assert all(b <= a for a, b in zip(history, history[1:]))
     assert value == pytest.approx(math.atan(0.5 * math.pi), rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def node_cache():
+    # Node builds are cached per process; fill the cache up to the cap so
+    # that timed calls measure the quadrature, not a one-off leggauss build.
+    n = 32
+    while n <= _MAX_NODES:
+        gauss_nodes(n, _HALF_PI)
+        n *= 2
+
+
+def test_gauss_doubling_stops_at_cap_and_names_point(node_cache):
+    m = ModelParams(xi=0.25, v=0.7, kappa=0.5)
+    started = time.perf_counter()
+    with pytest.raises(QuadratureFailureError) as info:
+        _gauss_doubling(lambda theta: 1.0 / np.sqrt(np.abs(theta - 0.3)), m)
+    assert time.perf_counter() - started < 0.1
+    msg = str(info.value)
+    assert "1024" in msg
+    assert "(0.25, 0.5, 0.7)" in msg
+    assert "last change" in msg
+
+
+def _mp_contact_time(xi: float, kappa: float, delta: float) -> tuple[float, mpmath.mpf]:
+    """The double voltage v = v_dpi (1 + delta) and its contact time at mp.dps = 40.
+
+    Independent of the package: x0 solves g'(x0) = 0, v_dpi^2 = -(xi+1) g(x0)
+    at v = 0, and the integral of sqrt((xi+1-x)/(x g(x))) over [0, 1] is split
+    at breakpoints clustered geometrically around x0.
+    """
+    with mpmath.workdps(40):
+        xs, kap = mpmath.mpf(xi) + 1, mpmath.mpf(kappa)
+
+        def g0(x):
+            return -(xs - x) * x - kap / 2 * (xs - x) * x**3
+
+        if kappa == 0.0:
+            x0 = xs / 2
+        else:
+            x0 = mpmath.findroot(lambda x: 2 * kap * x**3 - 1.5 * kap * xs * x**2 + 2 * x - xs, xs / 2)
+        v = float(mpmath.sqrt(-xs * g0(x0)) * (1 + mpmath.mpf(delta)))
+        vv = mpmath.mpf(v) ** 2 / xs
+
+        def f(x):
+            return mpmath.sqrt((xs - x) / (x * (vv + g0(x))))
+
+        width = mpmath.sqrt(vv + g0(x0))
+        offsets = [width * mpmath.mpf(10) ** k for k in range(13)]
+        pts = sorted({mpmath.mpf(0), mpmath.mpf(1), x0}
+                     | {x0 + s * d for d in offsets for s in (-1, 1)})
+        pts = [x for x in pts if 0 <= x <= 1]
+        return v, mpmath.quad(f, pts)
+
+
+_ORACLE_CASES = (
+    [(0.0, 0.0, d, 1e-10) for d in (1e-12, 1e-9, 1e-6, 1e-3, 1e-1, 1.0)]
+    + [(xi, k, d, 1e-10) for xi, k in ((0.5, 0.0), (0.3, 0.5), (0.0, 1.5))
+       for d in (1e-6, 1e-3, 1e-1, 1.0)]
+    # pull-in position at and just beyond the contact surface: an endpoint peak
+    + [(xi, 0.0, d, 1e-10) for xi in (1.0, 1.0001) for d in (1e-6, 1e-3)]
+    # below delta ~ 1e-9 the double rounding of v_dpi moves t_c by ~1e-16/delta
+    + [(xi, k, 1e-9, 1e-7) for xi, k in ((0.5, 0.0), (0.3, 0.5), (0.0, 1.5))]
+)
+
+
+@pytest.mark.parametrize("xi, kappa, delta, rel", _ORACLE_CASES)
+def test_contact_time_matches_mpmath_oracle(xi, kappa, delta, rel):
+    v, ref = _mp_contact_time(xi, kappa, delta)
+    m = ModelParams(xi=xi, v=v, kappa=kappa)
+    # delta = 1e-12 lies inside the default critical band; narrow it
+    cls = classify_regime(m, eps_v=1e-15)
+    assert cls.regime == REGIME_TOUCHDOWN
+    assert contact_time_by_quadrature(m, cls=cls) == pytest.approx(float(ref), rel=rel)
+
+
+@given(st.floats(0.0, 1.0), st.floats(0.0, 0.9), st.floats(-12.0, 0.0))
+@settings(max_examples=100, deadline=250)
+def test_contact_time_bounded_near_threshold(node_cache, xi, kappa_frac, log_delta):
+    kappa = kappa_frac * convexity_bound(xi)
+    m = ModelParams(xi=xi, v=cubic_pullin(xi, kappa).v_dpi * (1.0 + 10.0**log_delta), kappa=kappa)
+    if classify_regime(m).regime != REGIME_TOUCHDOWN:
+        # inside the critical band: reported as such, no contact time
+        with pytest.raises(SubcriticalError):
+            contact_time_by_quadrature(m)
+        return
+    t_c = contact_time_by_quadrature(m)
+    _, _, tc_bound = analytic_bounds(m)
+    assert 0.0 < t_c <= tc_bound
