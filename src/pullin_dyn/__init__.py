@@ -7,6 +7,7 @@ with event detection, and time scales with their analytic bounds.
 """
 
 from .analysis import (
+    REGIME_CONTACT,
     REGIME_CRITICAL,
     REGIME_PERIODIC,
     REGIME_TOUCHDOWN,

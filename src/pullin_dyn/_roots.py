@@ -1,27 +1,54 @@
-"""Bracketed scalar root finding: bisection with safeguarded Newton acceleration."""
+"""Bracketed root finding: safeguarded Newton on arrays of monotone functions,
+and bisection for one scalar function."""
 
 from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from .errors import InvalidParameterError
 
 _MAX_ITER = 200
+_XTOL = 1e-12  # absolute width of the final bracket of convex_roots
 
 
-def bracketed_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    fprime: Callable[[float], float] | None = None,
-    xtol: float = 1e-12,
-) -> float:
-    """Find the root of f in [lo, hi] to absolute x-tolerance xtol.
+def convex_roots(f_df, x, lo, hi, rising) -> np.ndarray:
+    """Roots of monotone functions, one per element of the arrays x, lo, hi and rising.
 
-    f(lo) and f(hi) must have opposite signs (or vanish). Newton steps are
-    taken whenever they land strictly inside the current bracket; a bisection
-    step is forced whenever the bracket failed to halve, so convergence is
-    guaranteed on any sign-changing bracket.
+    f_df(x) returns f and f' at x. Each element of f changes sign once on
+    [lo, hi], from negative to positive where rising is true. Newton steps
+    start from x, and a step leaving the bracket bisects it. On a convex
+    function they never overshoot from the positive side, so a step shorter
+    than _XTOL/2 is lengthened to _XTOL/2 to close the bracket from the other
+    side. An element stops once its bracket is no wider than _XTOL and
+    returns the Newton step from the bracket end with the smaller |f|, kept
+    inside the bracket.
+    """
+    half = 0.5 * _XTOL
+    sign = np.where(rising, -1.0, 1.0)  # the sign of f(lo)
+    step_lo = step_hi = f_lo = f_hi = np.inf  # f and the Newton step at the bracket ends
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_ITER):
+            open_ = hi - lo > _XTOL
+            if not open_.any():
+                break
+            fx, dfx = f_df(x)
+            step = -fx / dfx
+            side = sign * fx  # > 0 on the lo side; a root (0) closes the bracket
+            at_lo, at_hi = open_ & (side >= 0.0), open_ & (side <= 0.0)
+            lo, f_lo, step_lo = np.where(at_lo, x, lo), np.where(at_lo, fx, f_lo), np.where(at_lo, step, step_lo)
+            hi, f_hi, step_hi = np.where(at_hi, x, hi), np.where(at_hi, fx, f_hi), np.where(at_hi, step, step_hi)
+            trial = x + np.copysign(np.maximum(np.abs(step), half), step)
+            x = np.where((lo < trial) & (trial < hi), trial, 0.5 * (lo + hi))
+    best = np.abs(f_lo) <= np.abs(f_hi)
+    return np.clip(np.where(best, lo + step_lo, hi + step_hi), lo, hi)
+
+
+def bracketed_root(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-12) -> float:
+    """Find the root of f in [lo, hi] to absolute x-tolerance xtol by bisection.
+
+    f(lo) and f(hi) must have opposite signs (or vanish).
     """
     flo = f(lo)
     if flo == 0.0:
@@ -31,11 +58,8 @@ def bracketed_root(
         return hi
     if flo * fhi > 0.0:
         raise InvalidParameterError(f"no sign change on bracket [{lo}, {hi}]")
-
     x = 0.5 * (lo + hi)
-    force_bisect = False
     for _ in range(_MAX_ITER):
-        width_before = hi - lo
         fx = f(x)
         if fx == 0.0:
             return x
@@ -43,23 +67,8 @@ def bracketed_root(
             hi = x
         else:
             lo, flo = x, fx
-        width = hi - lo
-        if width <= xtol:
-            return 0.5 * (lo + hi)
-
-        candidate = None
-        if fprime is not None and not force_bisect:
-            d = fprime(x)
-            if d != 0.0:
-                trial = x - fx / d
-                if lo < trial < hi:
-                    candidate = trial
-        if candidate is None:
-            candidate = 0.5 * (lo + hi)
-        # Newton may creep along one side of the bracket; force the next step
-        # to bisect whenever the bracket did not halve.
-        force_bisect = width > 0.5 * width_before
-        if abs(candidate - x) <= 0.5 * xtol:
-            return candidate
-        x = candidate
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= xtol or abs(mid - x) <= 0.5 * xtol:
+            return mid
+        x = mid
     return 0.5 * (lo + hi)

@@ -13,17 +13,24 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 
+import numpy as np
+
 from . import __version__
 from .analysis import (
+    REGIME_CONTACT,
     REGIME_CRITICAL,
     REGIME_PERIODIC,
     REGIME_TOUCHDOWN,
+    PullInResult,
     classify_regime,
+    classify_rows,
+    factor_rows,
     pullin,
 )
 from .dynamics import (
@@ -46,7 +53,7 @@ from .errors import (
     RegimeMismatchError,
 )
 from .model import ModelParams, PhysicalParams, check_convexity, normalize_physical
-from .quadrature import contact_time_by_quadrature, period_by_quadrature
+from .quadrature import _cap_error, contact_times, period_by_quadrature, stagnation_times
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -328,7 +335,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "v_dpi": cls.threshold.v_dpi,
         "x_dpi": cls.threshold.x_dpi,
     }
-    if cls.regime == REGIME_PERIODIC:
+    if cls.regime in (REGIME_PERIODIC, REGIME_CONTACT):
         out["x_s"] = cls.x_s
     elif cls.regime == REGIME_CRITICAL:
         out["x_limit"] = cls.x_limit
@@ -406,7 +413,7 @@ def cmd_period(args: argparse.Namespace) -> int:
     cls = classify_regime(m)
     if cls.regime != REGIME_PERIODIC:
         raise RegimeMismatchError(
-            f"regime is '{cls.regime}'; period requires a subcritical voltage "
+            f"regime is '{cls.regime}'; period requires a periodic response "
             "(see the classify subcommand)"
         )
     scales = period_by_quadrature(m, cls=cls)
@@ -455,23 +462,60 @@ def _csv_cell(val, precision: int) -> str:
     return fmt_float(val, precision) if isinstance(val, float) else str(val)
 
 
-def _sweep_row(xi: float, kappa: float, v: float, wanted: tuple[str, ...]) -> dict:
-    row = {"xi": xi, "kappa": kappa, "v": v, **dict.fromkeys(_SWEEP_COLUMNS), "error": None}
-    try:
-        m = ModelParams(xi=xi, v=v, kappa=kappa)
-        cls = classify_regime(m)
-        row["regime"] = cls.regime
-        row["v_dpi"] = cls.threshold.v_dpi
-        row["x_dpi"] = cls.threshold.x_dpi
-        if cls.regime == REGIME_PERIODIC:
-            row["x_s"] = cls.x_s
-            if "t_p" in wanted:
-                row["t_p"] = period_by_quadrature(m, cls=cls).t_p
-        elif cls.regime == REGIME_TOUCHDOWN and "t_c" in wanted:
-            row["t_c"] = contact_time_by_quadrature(m, cls=cls)
-    except PullInDynError as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+def _cell(exc: PullInDynError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: tuple[str, ...]) -> list[dict]:
+    """Every row of the grid in one pass over arrays of rows.
+
+    The rows of an (xi, kappa) pair share its cached pull-in point. An
+    invalid input, a non-convex pair or a failed quadrature fills the error
+    cell of its own rows only.
+    """
+
+    def pull(xi: float, kappa: float, v: float) -> PullInResult | str:
+        # the row's pull-in point, or the error cell of its input or pair
+        try:
+            ModelParams(xi=xi, v=v, kappa=kappa)
+            return pullin(xi, kappa)
+        except PullInDynError as exc:
+            return _cell(exc)
+
+    grid = [(xi, kappa, v) for xi in xis for kappa in kappas for v in vs]
+    pairs = {(xi, kappa): pull(xi, kappa, 0.0) for xi in xis for kappa in kappas}
+    pulls = [pairs[xi, kappa] if math.isfinite(v) and v >= 0.0 else pull(xi, kappa, v) for xi, kappa, v in grid]
+    rows = [
+        {"xi": xi, "kappa": kappa, "v": v, **dict.fromkeys(_SWEEP_COLUMNS), "error": p if isinstance(p, str) else None}
+        for (xi, kappa, v), p in zip(grid, pulls)
+    ]
+    ok = [i for i, row in enumerate(rows) if row["error"] is None]
+    xi, kappa, v, x0, v_dpi = np.array(
+        [grid[i] + (pulls[i].x0, pulls[i].v_dpi) for i in ok], dtype=float
+    ).reshape(-1, 5).T
+    regime, x_s, x2, a_sq = classify_rows(xi, kappa, v, x0, v_dpi)
+    t_p, t_c = np.full((2, len(ok)), np.nan)
+    failures: dict[int, PullInDynError] = {}  # by index into ok
+    at = (regime == REGIME_PERIODIC).nonzero()[0]
+    if "t_p" in wanted and at.size:
+        q, bad = factor_rows(xi[at], v[at], kappa[at], x_s[at], x2[at])
+        t_s, _, err_est = stagnation_times(xi[at], x_s[at], x2[at], *q)
+        t_p[at] = 2.0 * t_s
+        failures.update((at[j], _cap_error(*grid[ok[at[j]]], err_est[j])) for j in np.isnan(t_s).nonzero()[0])
+        failures.update((at[j], exc) for j, exc in bad.items())  # raised before the quadrature
+    at = ((regime == REGIME_TOUCHDOWN) | (regime == REGIME_CONTACT)).nonzero()[0]
+    if "t_c" in wanted and at.size:
+        t_c[at], _, err_est = contact_times(xi[at], kappa[at], x0[at], a_sq[at])
+        failures.update((at[j], _cap_error(*grid[ok[at[j]]], err_est[j])) for j in np.isnan(t_c[at]).nonzero()[0])
+    t_p[list(failures)] = np.nan
+    x_s[regime == REGIME_CONTACT] = np.nan  # the electrode never gets there
+
+    for i, r, *cells in zip(ok, regime.tolist(), x_s.tolist(), t_p.tolist(), t_c.tolist()):
+        cells = (None if c != c else c for c in cells)
+        rows[i].update(zip(("x_s", "t_p", "t_c"), cells), regime=r, v_dpi=pulls[i].v_dpi, x_dpi=pulls[i].x_dpi)
+    for j, exc in failures.items():
+        rows[ok[j]]["error"] = _cell(exc)
+    return rows
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -510,7 +554,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise InvalidParameterError("jobs must be >= 1")
 
     started = time.perf_counter()
-    rows = [_sweep_row(xi, kappa, v, wanted) for xi in xis for kappa in kappas for v in vs]
+    rows = _sweep_rows(xis, kappas, vs, wanted)
     rows_done = time.perf_counter()
 
     spec = {
@@ -530,9 +574,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "columns": columns,
             "rows": [{k: row[k] for k in columns} for row in rows],
         }
+        # one dumps call: json.dump streams through the pure-Python encoder
         with open(args.output, "w") as fh:
-            json.dump(_round_floats(payload, precision), fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(_round_floats(payload, precision), sort_keys=True) + "\n")
     else:
         with open(args.output, "w", newline="") as fh:
             fh.write(f"# pullin-dyn sweep version={__version__}\n")

@@ -678,11 +678,9 @@ def integrate_critical(
     xs = m.x_singular
     x0 = cls.threshold.x0
     # residual as a polynomial, deflated twice at its double root; a linear
-    # model leaves the constant q, padded to the cubic model's quadratic
-    # (0 x + 0) x + c, which evaluates to c exactly
+    # model leaves the quadratic (0 x + 0) x + c, which evaluates to c exactly
     q1, _ = deflate(g_coeffs(m.xi, m.v, m.kappa), x0)
-    qt, _ = deflate(q1, x0)
-    c0, c1, c2 = qt if len(qt) == 3 else (0.0, 0.0) + qt
+    (c0, c1, c2), _ = deflate(q1, x0)
     sqrt = math.sqrt
 
     def rate(u: float) -> float:

@@ -228,15 +228,17 @@ def g_second_of_x(x, xi: float, kappa: float = 0.0):
     return 6.0 * kappa * x * x - 3.0 * kappa * (xi + 1.0) * x + 2.0
 
 
-def g_coeffs(xi: float, v: float, kappa: float = 0.0) -> tuple[float, ...]:
-    """Coefficients of g, highest degree first: quartic, or quadratic when kappa = 0."""
+def g_coeffs(xi, v, kappa=0.0) -> tuple:
+    """Coefficients of the quartic g, highest degree first; the two leading
+    ones vanish at kappa = 0. Accepts scalars or arrays."""
     xs = xi + 1.0
-    quadratic = (1.0, -xs, v * v / xs)
-    return quadratic if kappa == 0.0 else (0.5 * kappa, -0.5 * kappa * xs) + quadratic
+    return (0.5 * kappa, -0.5 * kappa * xs, 1.0, -xs, v * v / xs)
 
 
-def deflate(coeffs, root: float) -> tuple[tuple[float, ...], float]:
-    """Synthetic division by (x - root): quotient coefficients and remainder."""
+def deflate(coeffs, root):
+    """Synthetic division by (x - root): quotient coefficients and remainder.
+
+    Elementwise when the coefficients and the root are arrays."""
     quot = []
     acc = coeffs[0]
     for c in coeffs[1:]:

@@ -13,6 +13,8 @@ Just above the pull-in voltage the contact-time integrand has a peak of
 half-width ~ sqrt(v - v_dpi) at the pull-in position; a sinh map centred on
 the peak (Johnston & Elliott, IJNME 62 (2005) 564) makes it smooth. Every
 rule doubles its Gauss-Legendre order up to a fixed cap and fails past it.
+The kernels (stagnation_times, contact_times) integrate arrays of points as
+one nodes-by-points matrix; the scalar functions run them on one point.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import (
+    REGIME_CONTACT,
     REGIME_PERIODIC,
     REGIME_TOUCHDOWN,
     RegimeClassification,
+    _column,
     classify_regime,
     cubic_factorization,
 )
@@ -69,31 +73,49 @@ def gauss_nodes(n: int, length: float) -> tuple[np.ndarray, np.ndarray]:
     return half * (x + 1.0), half * w
 
 
-def _gauss_doubling(integrand, m: ModelParams | None = None) -> tuple[float, list[float]]:
-    """Integrate over [0, pi/2] with node-doubling until successive values agree.
+def _gauss_doubling(integrand, *cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate over [0, pi/2] by node doubling, column-wise.
 
-    Returns the converged value and the history of |change| between successive
-    refinements (the reported error estimates). Past _MAX_NODES nodes it
-    raises QuadratureFailureError naming the parameter point m.
+    integrand(theta, *cols) maps the nodes theta, an (n, 1) array, and the
+    parameter arrays of the open columns to the (n, columns) matrix of
+    integrand values. A column leaves once successive values agree to
+    _RTOL, and only the open columns are refined. Returns per column the
+    value, the node count and err_est, the change from the previous order;
+    a column still open at _MAX_NODES nodes has value nan (see _cap_error).
     """
+    size = len(cols[0])
+    value, err_est, nodes = np.full(size, np.nan), np.full(size, np.nan), np.full(size, _MAX_NODES)
+    idx = np.arange(size)
     n = _BASE_NODES
     theta, w = gauss_nodes(n, _HALF_PI)
-    prev = float(np.dot(w, integrand(theta)))
-    history: list[float] = []
-    while n < _MAX_NODES:
+    prev = w @ integrand(theta[:, None], *cols) if size else None
+    while idx.size and n < _MAX_NODES:
         n *= 2
         theta, w = gauss_nodes(n, _HALF_PI)
-        cur = float(np.dot(w, integrand(theta)))
-        err = abs(cur - prev)
-        history.append(err)
-        if err <= _RTOL * max(abs(cur), 1e-300):
-            return cur, history
+        cur = w @ integrand(theta[:, None], *cols)
+        change = np.abs(cur - prev)
+        err_est[idx] = change
+        done = change <= _RTOL * np.maximum(np.abs(cur), 1e-300)
+        if done.any():
+            value[idx[done]], nodes[idx[done]] = cur[done], n
+            idx, cur, cols = idx[~done], cur[~done], [c[~done] for c in cols]
         prev = cur
-    point = "" if m is None else f" at (xi, kappa, v) = ({m.xi!r}, {m.kappa!r}, {m.v!r})"
-    raise QuadratureFailureError(
-        f"no convergence to rtol={_RTOL} within {_MAX_NODES} nodes{point}; "
-        f"last change {history[-1]!r}"
+    return value, nodes, err_est
+
+
+def _cap_error(xi: float, kappa: float, v: float, last: float) -> QuadratureFailureError:
+    return QuadratureFailureError(
+        f"no convergence to rtol={_RTOL} within {_MAX_NODES} nodes at (xi, kappa, v) = "
+        f"({xi!r}, {kappa!r}, {v!r}); last change {float(last)!r}"
     )
+
+
+def _one_row(times, m: ModelParams, *args) -> tuple[float, int, float]:
+    # a row kernel on the single point m; raises at the node cap
+    value, nodes, err_est = times(*_column(*args))
+    if np.isnan(value[0]):
+        raise _cap_error(m.xi, m.kappa, m.v, err_est[0])
+    return float(value[0]), int(nodes[0]), float(err_est[0])
 
 
 def _bounds_subcritical(xi: float, x1: float, x2: float) -> tuple[float, float]:
@@ -102,107 +124,119 @@ def _bounds_subcritical(xi: float, x1: float, x2: float) -> tuple[float, float]:
     return t1, 2.0 * math.sqrt((xs - 0.5 * x1) / (x2 - x1)) + t1
 
 
-def period_by_quadrature(
-    m: ModelParams, *, cls: RegimeClassification | None = None
-) -> TimeScales:
-    """Stagnation time and period of the subcritical motion.
+def stagnation_times(xi, x1, x2, q0, q1, q2):
+    """Stagnation time of arrays of subcritical points, column-wise.
 
     The substitution x = x1 sin^2(theta) turns the half-orbit time integral
     into the smooth integral of 2 sqrt((xi+1-x)/((x2-x) q(x))) over
-    [0, pi/2], evaluated by node-doubling Gauss-Legendre. A caller that has
-    already classified m passes that classification as cls, so the
-    stagnation root is not solved again.
+    [0, pi/2], with q(x) = (q0 x + q1) x + q2 the quotient of factor_rows.
+    Returns _gauss_doubling's value, nodes and err_est per point.
     """
-    if cls is None:
-        cls = classify_regime(m)
-    if cls.regime != REGIME_PERIODIC:
-        raise SupercriticalError(
-            f"period undefined in regime '{cls.regime}' (v={m.v}, v_dpi={cls.threshold.v_dpi})"
-        )
-    fact = cubic_factorization(m.xi, m.v, m.kappa, x1=cls.x_s)
-    xs = m.xi + 1.0
-    x1, x2 = fact.x1, fact.x2
 
-    def integrand(theta: np.ndarray) -> np.ndarray:
+    def integrand(theta, x1, x2, xs, q0, q1, q2):
         x = x1 * np.sin(theta) ** 2
-        return 2.0 * np.sqrt((xs - x) / ((x2 - x) * fact.q(x)))
+        return 2.0 * np.sqrt((xs - x) / ((x2 - x) * ((q0 * x + q1) * x + q2)))
 
-    t_s, history = _gauss_doubling(integrand, m)
-    t1_bound, ts_bound = _bounds_subcritical(m.xi, x1, x2)
-    return TimeScales(
-        t_s=t_s, t_p=2.0 * t_s, t1_bound=t1_bound, ts_bound=ts_bound,
-        nodes=_BASE_NODES << len(history), err_est=history[-1],
-    )
+    return _gauss_doubling(integrand, x1, x2, xi + 1.0, q0, q1, q2)
 
 
-def contact_time_by_quadrature(m: ModelParams, *, cls: RegimeClassification | None = None) -> float:
-    """Contact time of the supercritical motion.
+def contact_times(xi, kappa, x0, a_sq):
+    """Contact time of arrays of points, column-wise: the touch-down regime
+    (a_sq > 0) and the contact regime (a_sq < 0, x0 > 1).
 
-    With x = sin^2(theta) the integrand is 2 cos(theta)
-    sqrt((xi+1-x)/g(x)) with g strictly positive on [0, 1]; for xi = 0 the
-    remaining sqrt(1-x) factor reduces to cos(theta) exactly, so a single
-    smooth quadrature covers every xi >= 0. A caller that has already
-    classified m passes that classification as cls.
+    With x = sin^2(theta) the integrand is 2 cos(theta) sqrt((xi+1-x)/g(x))
+    with g strictly positive on [0, 1); for xi = 0 the remaining sqrt(1-x)
+    factor reduces to cos(theta) exactly, so a single smooth quadrature
+    covers every xi >= 0.
 
     g = a^2 + (x - x0)^2 q(x), with x0 the pull-in position, q the residual
-    at v = 0 deflated twice at x0 and a^2 = cls.a_sq, so 1/sqrt(g) peaks at
-    x0 with half-width sqrt(a^2/q(x0)), free of the cancellation in g near
+    at v = 0 deflated twice at x0 and a^2 = a_sq, so 1/sqrt(g) peaks at x0
+    with half-width sqrt(a^2/q(x0)), free of the cancellation in g near
     v_dpi. A peak at or beyond x = 1 is an endpoint peak at x = 1. The
     substitution theta = theta0 + eps sinh(u), with theta0 the peak and eps
     its half-width carried into theta, spreads the peak over a unit width in
-    u, so the cost stays bounded as v approaches v_dpi.
+    u, so the cost stays bounded as v approaches v_dpi. Returns
+    _gauss_doubling's value, nodes and err_est per point.
     """
-    if cls is None:
-        cls = classify_regime(m)
-    if cls.regime != REGIME_TOUCHDOWN:
-        raise SubcriticalError(
-            f"contact time undefined in regime '{cls.regime}' (v={m.v}, v_dpi={cls.threshold.v_dpi})"
-        )
-    xs = m.xi + 1.0
-    thr = cls.threshold
-    q, _ = deflate(deflate(g_coeffs(m.xi, 0.0, m.kappa), thr.x0)[0], thr.x0)
-    a_sq = cls.a_sq
-    x_peak = min(thr.x0, 1.0)
+    q, _ = deflate(deflate(g_coeffs(xi, 0.0, kappa), x0)[0], x0)
+    x_peak = np.minimum(x0, 1.0)
     q_peak = deflate(q, x_peak)[1]  # the remainder is q(x_peak)
-    half_width = math.sqrt(a_sq / q_peak + (thr.x0 - x_peak) ** 2)
-    theta0 = math.asin(math.sqrt(x_peak))
-    eps = theta0 - math.asin(math.sqrt(max(x_peak - half_width, 0.0)))
+    half_width = np.sqrt(np.maximum(a_sq / q_peak + (x0 - x_peak) ** 2, 0.0))
+    theta0 = np.arcsin(np.sqrt(x_peak))
+    eps = theta0 - np.arcsin(np.sqrt(np.maximum(x_peak - half_width, 0.0)))
+    # a zero-width endpoint peak (x_s = 1 in the contact regime, g(1) = 0)
+    # leaves a smooth integrand, which any positive eps maps
+    eps = np.where(eps > 0.0, eps, 1.0)
 
     # theta = theta0 + eps sinh(u) over [u_lo, u_hi], u = u_lo + scale t
-    u_lo = -math.asinh(theta0 / eps)
-    scale = (math.asinh((_HALF_PI - theta0) / eps) - u_lo) / _HALF_PI
-    jac = 2.0 * eps * scale
-    shift = x_peak - thr.x0
+    u_lo = -np.arcsinh(theta0 / eps)
+    scale = (np.arcsinh((_HALF_PI - theta0) / eps) - u_lo) / _HALF_PI
 
-    def mapped(t: np.ndarray) -> np.ndarray:
+    def mapped(t, u_lo, scale, eps, theta0, shift, a_sq, xs, q0, q1, q2):
         u = u_lo + scale * t
         d = eps * np.sinh(u)  # theta - theta0, without cancellation
         theta = theta0 + d
         x = np.sin(theta) ** 2
         # x - x0 = sin(theta + theta0) sin(theta - theta0) + (x_peak - x0)
         gap = np.sin(theta + theta0) * np.sin(d) + shift
-        q_x = q[0]
-        for c in q[1:]:
-            q_x = q_x * x + c
-        g = a_sq + gap * gap * q_x
-        return jac * np.cosh(u) * np.cos(theta) * np.sqrt((xs - x) / g)
+        g = a_sq + gap * gap * ((q0 * x + q1) * x + q2)
+        return (2.0 * eps * scale) * np.cosh(u) * np.cos(theta) * np.sqrt((xs - x) / g)
 
-    t_c, _ = _gauss_doubling(mapped, m)
-    return t_c
+    return _gauss_doubling(mapped, u_lo, scale, eps, theta0, x_peak - x0, a_sq, xi + 1.0, *q)
+
+
+def period_by_quadrature(
+    m: ModelParams, *, cls: RegimeClassification | None = None
+) -> TimeScales:
+    """Stagnation time and period of the subcritical motion (see stagnation_times).
+
+    In the contact regime these are the times of the unobstructed orbit,
+    which the electrode does not complete. A caller that has already
+    classified m passes that classification as cls.
+    """
+    if cls is None:
+        cls = classify_regime(m)
+    if cls.regime not in (REGIME_PERIODIC, REGIME_CONTACT):
+        raise SupercriticalError(
+            f"period undefined in regime '{cls.regime}' (v={m.v}, v_dpi={cls.threshold.v_dpi})"
+        )
+    fact = cubic_factorization(m.xi, m.v, m.kappa)
+    q = (0.0,) * (3 - len(fact.q_coeffs)) + fact.q_coeffs
+    t_s, nodes, err_est = _one_row(stagnation_times, m, m.xi, fact.x1, fact.x2, *q)
+    t1_bound, ts_bound = _bounds_subcritical(m.xi, fact.x1, fact.x2)
+    return TimeScales(
+        t_s=t_s, t_p=2.0 * t_s, t1_bound=t1_bound, ts_bound=ts_bound, nodes=nodes, err_est=err_est
+    )
+
+
+def contact_time_by_quadrature(m: ModelParams, *, cls: RegimeClassification | None = None) -> float:
+    """Contact time of the supercritical motion, or of a subcritical one in
+    the contact regime (see contact_times).
+
+    A caller that has already classified m passes that classification as cls.
+    """
+    if cls is None:
+        cls = classify_regime(m)
+    if cls.regime not in (REGIME_TOUCHDOWN, REGIME_CONTACT):
+        raise SubcriticalError(
+            f"contact time undefined in regime '{cls.regime}' (v={m.v}, v_dpi={cls.threshold.v_dpi})"
+        )
+    return _one_row(contact_times, m, m.xi, m.kappa, cls.threshold.x0, cls.a_sq)[0]
 
 
 def analytic_bounds(m: ModelParams) -> tuple[float | None, float | None, float | None]:
     """Analytic upper bounds (t1_bound, ts_bound, tc_bound) for the current regime.
 
-    Subcritical: t1_bound = 2 sqrt(2) sqrt((xi+1)/(2 x2 - x1)) for the time to
-    cross the half-stagnation level, and ts_bound adds the bound for the
-    remaining climb; tc_bound is None. Supercritical: tc_bound =
-    2 sqrt(xi+1) / a with a^2 the positive minimum of the residual; the
-    subcritical bounds are None. The critical regime has no finite bound.
+    Subcritical (periodic or contact): t1_bound = 2 sqrt(2)
+    sqrt((xi+1)/(2 x2 - x1)) for the time to cross the half-stagnation
+    level, and ts_bound adds the bound for the remaining climb; tc_bound is
+    None. Supercritical: tc_bound = 2 sqrt(xi+1) / a with a^2 the positive
+    minimum of the residual; the subcritical bounds are None. The critical
+    regime has no finite bound.
     """
     cls = classify_regime(m)
-    if cls.regime == REGIME_PERIODIC:
-        fact = cubic_factorization(m.xi, m.v, m.kappa, x1=cls.x_s)
+    if cls.regime in (REGIME_PERIODIC, REGIME_CONTACT):
+        fact = cubic_factorization(m.xi, m.v, m.kappa)
         t1_bound, ts_bound = _bounds_subcritical(m.xi, fact.x1, fact.x2)
         return t1_bound, ts_bound, None
     if cls.regime == REGIME_TOUCHDOWN:

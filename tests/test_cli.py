@@ -10,15 +10,23 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pullin_dyn
 from pullin_dyn import (
     IntegratorConfig,
     ModelParams,
+    PullInDynError,
+    _roots,
     analysis,
+    classify_regime,
     cli,
+    contact_time_by_quadrature,
+    dynamics,
     energy_series,
     integrate,
+    period_by_quadrature,
     pullin,
     quadrature,
 )
@@ -299,50 +307,143 @@ def test_sweep_deterministic_across_jobs(capsys, tmp_path):
     assert code == 2
 
 
+def _scalar_sweep_row(xi, kappa, v):
+    # the sweep row from the one-point API, as the per-row loop computed it
+    row = {"xi": xi, "kappa": kappa, "v": v, **dict.fromkeys(cli._SWEEP_COLUMNS), "error": None}
+    try:
+        m = ModelParams(xi=xi, v=v, kappa=kappa)
+        cls = classify_regime(m)
+        row.update(regime=cls.regime, v_dpi=cls.threshold.v_dpi, x_dpi=cls.threshold.x_dpi)
+        if cls.regime == "periodic":
+            row["x_s"] = cls.x_s
+            row["t_p"] = period_by_quadrature(m, cls=cls).t_p
+        elif cls.regime in ("touchdown", "contact"):
+            row["t_c"] = contact_time_by_quadrature(m, cls=cls)
+    except PullInDynError as exc:
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    return row
+
+
+def _assert_rows_match_scalar(rows):
+    for row in rows:
+        ref = _scalar_sweep_row(row["xi"], row["kappa"], row["v"])
+        assert row.keys() == ref.keys()
+        for key in ("xi", "kappa", "v", "regime", "error", "v_dpi", "x_dpi"):
+            assert row[key] == ref[key], (key, row, ref)
+        for key, rel, abs_ in (("x_s", 0.0, 1e-12), ("t_p", 1e-12, 0.0), ("t_c", 1e-12, 0.0)):
+            if ref[key] is None:
+                assert row[key] is None, (key, row, ref)
+            else:
+                assert row[key] == pytest.approx(ref[key], rel=rel, abs=abs_), (key, row, ref)
+
+
+def test_sweep_rows_equal_scalar_api_on_grid():
+    # periodic, touch-down, critical-band and contact rows (xi = 2), v = 0,
+    # a non-convex pair (xi = kappa = 2) and delta = 1e-9 ... 1e-1 on both
+    # sides of every convex pair's v_dpi, all in one pass
+    xis, kappas = [0.0, 0.6, 2.0], [0.0, 0.35, 2.0]
+    vs = [0.0]
+    for xi in xis:
+        for kappa in kappas:
+            if kappa < 16.0 / (3.0 * (xi + 1.0) ** 2):
+                v_dpi = pullin(xi, kappa).v_dpi
+                vs += [v_dpi, v_dpi * (1.0 + 1e-13)]
+                vs += [v_dpi * (1.0 + s * 10.0**-k) for s in (-1.0, 1.0) for k in (9, 7, 5, 3, 1)]
+    rows = cli._sweep_rows(xis, kappas, vs, cli._SWEEP_COLUMNS)
+    assert len(rows) == len(xis) * len(kappas) * len(vs)
+    regimes = {r["regime"] for r in rows}
+    assert regimes == {None, "periodic", "critical", "touchdown", "contact"}
+    assert any(r["error"] and r["error"].startswith("ConvexityError") for r in rows)
+    _assert_rows_match_scalar(rows)
+
+
+@given(
+    st.floats(0.0, 2.5),
+    st.floats(0.0, 0.95),
+    st.lists(st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-12.0, 0.3)), min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_sweep_rows_equal_scalar_api_property(xi, kappa_frac, offsets):
+    kappa = kappa_frac * 16.0 / (3.0 * (xi + 1.0) ** 2)
+    v_dpi = pullin(xi, kappa).v_dpi
+    vs = [max(v_dpi * (1.0 + s * 10.0**e), 0.0) for s, e in offsets]
+    _assert_rows_match_scalar(cli._sweep_rows([xi], [kappa], vs, cli._SWEEP_COLUMNS))
+
+
+def test_contact_regime_on_every_command(capsys, tmp_path):
+    # xi = 2, v = 0.99 v_dpi: x_s = 1.288 lies beyond the contact surface,
+    # and the electrode touches down at t_c (QUADPACK with the x^-1/2 weight)
+    v = repr(0.99 * pullin(2.0).v_dpi)
+    out = run_json(capsys, "classify", "--xi", "2", "--v", v)
+    assert out["regime"] == "contact" and out["x_s"] == pytest.approx(1.2884, abs=1e-4)
+    code, _, err = run_cli(capsys, "period", "--xi", "2", "--v", v)
+    assert code == 5 and "'contact'" in err
+    path = tmp_path / "s.csv"
+    run_json(capsys, "sweep", "--xi", "2", "--v-min", v, "--v-max", "2.6", "--v-steps", "2",
+             "--output", str(path))
+    row = next(csv.DictReader(ln for ln in path.read_text().splitlines() if not ln.startswith("#")))
+    assert row["regime"] == "contact" and row["x_s"] == row["t_p"] == "" and row["error"] == ""
+    assert float(row["t_c"]) == pytest.approx(3.0783024246692783, rel=1e-11)
+
+
 def test_sweep_solves_statics_once_per_row(capsys, tmp_path, monkeypatch):
-    # x0 once per (xi, kappa); per periodic row x_s once (the row's
-    # classification, which the period reuses) and x2 once
-    calls = []
-    real = analysis.bracketed_root
+    # the rows are solved as arrays: no scalar root find, and one array root
+    # pass per (xi, kappa) pull-in point plus one for every row's x_s and x2
+    scalar, batched = [], []
+    real, real_batch = _roots.bracketed_root, analysis.convex_roots
 
     def counted(f, *args, **kwargs):
-        calls.append(1)
+        scalar.append(1)
         return real(f, *args, **kwargs)
 
-    monkeypatch.setattr(analysis, "bracketed_root", counted)
+    def counted_batch(f, fprime, x, *args, **kwargs):
+        batched.append(len(x))
+        return real_batch(f, fprime, x, *args, **kwargs)
+
     n = 12
-    v_max = 0.9 * pullin(0.15, 0.35).v_dpi
+    v_max = 0.9 * min(pullin(xi, k).v_dpi for xi in (0.15, 0.25) for k in (0.35, 0.45))
+    analysis.pullin.cache_clear()
+    for mod in (_roots, analysis, dynamics):
+        monkeypatch.setattr(mod, "bracketed_root", counted, raising=False)
+    monkeypatch.setattr(analysis, "convex_roots", counted_batch)
     run_json(
-        capsys, "sweep", "--xi", "0.15", "--kappa", "0.35", "--v-min", "0.05",
-        "--v-max", repr(v_max), "--v-steps", str(n), "--output", str(tmp_path / "s.csv"),
+        capsys, "sweep", "--xi-range", "0.15", "0.25", "2", "--kappa-range", "0.35", "0.45", "2",
+        "--v-min", "0.05", "--v-max", repr(v_max), "--v-steps", str(n),
+        "--output", str(tmp_path / "s.csv"),
     )
     rows = (tmp_path / "s.csv").read_text().splitlines()[3:]
-    assert len(rows) == n and all(",periodic," in r for r in rows)
-    assert len(calls) <= 2 * n + 1
+    assert len(rows) == 4 * n and all(",periodic," in r for r in rows)
+    assert scalar == [] and batched == [1, 1, 1, 1, 2 * 4 * n]
 
 
 def test_sweep_classifies_each_row_once(capsys, tmp_path, monkeypatch):
-    # the row's classification is handed to the period and contact-time
-    # quadratures, which would otherwise classify the point again
-    calls = []
-    real = analysis.classify_regime
+    # one array classification covers every row; no row is classified, or
+    # handed to a quadrature, one point at a time
+    scalar, batched = [], []
+    real, real_rows = analysis.classify_regime, cli.classify_rows
 
     def counted(m, *args, **kwargs):
-        calls.append(1)
+        scalar.append(1)
         return real(m, *args, **kwargs)
 
-    for mod in (cli, quadrature):
+    def counted_rows(xi, *args, **kwargs):
+        batched.append(len(xi))
+        return real_rows(xi, *args, **kwargs)
+
+    for mod in (analysis, cli, quadrature):
         monkeypatch.setattr(mod, "classify_regime", counted)
+    monkeypatch.setattr(cli, "classify_rows", counted_rows)
     n = 10
     run_json(
         capsys, "sweep", "--xi", "0.3", "--kappa-range", "0", "0.4", "2", "--v-min", "0.2",
         "--v-max", "1.2", "--v-steps", str(n), "--output", str(tmp_path / "s.csv"),
     )
-    regimes = [r["regime"] for r in csv.DictReader(
+    rows = list(csv.DictReader(
         ln for ln in (tmp_path / "s.csv").read_text().splitlines() if not ln.startswith("#")
-    )]
-    assert {"periodic", "touchdown"} <= set(regimes)
-    assert len(calls) == len(regimes) == 2 * n
+    ))
+    assert {"periodic", "touchdown"} <= {r["regime"] for r in rows}
+    assert all(r["t_p"] or r["t_c"] for r in rows)
+    assert scalar == [] and batched == [len(rows)] == [2 * n]
 
 
 def test_benchmark_layer_names_resolve():

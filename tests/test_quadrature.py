@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from pullin_dyn import (
+    REGIME_CONTACT,
     REGIME_TOUCHDOWN,
+    IntegratorConfig,
     ModelParams,
     QuadratureFailureError,
     RegimeMismatchError,
@@ -19,9 +22,18 @@ from pullin_dyn import (
     contact_time_by_quadrature,
     convexity_bound,
     cubic_pullin,
+    g_of_x,
+    integrate,
     period_by_quadrature,
 )
-from pullin_dyn.quadrature import _HALF_PI, _MAX_NODES, _gauss_doubling, gauss_nodes
+from pullin_dyn.quadrature import (
+    _HALF_PI,
+    _MAX_NODES,
+    _gauss_doubling,
+    _one_row,
+    contact_times,
+    gauss_nodes,
+)
 
 # adaptive 40-digit quadrature references
 TS_XI0_V04 = 3.5660991044596260069
@@ -135,13 +147,21 @@ def test_period_reports_nodes_and_error_estimate():
 
 
 def test_node_doubling_error_estimates_decrease():
-    def integrand(theta):
-        return 1.0 / (1.0 + theta**2)
+    # the kernel reports the last change; the history is rebuilt from the
+    # value of each order it evaluated
+    values = []
 
-    value, history = _gauss_doubling(integrand)
+    def integrand(theta, scale):
+        f = scale / (1.0 + theta**2)
+        values.append(float(gauss_nodes(len(theta), _HALF_PI)[1] @ f[:, 0]))
+        return f
+
+    value, nodes, err_est = _gauss_doubling(integrand, np.ones(1))
+    history = [abs(b - a) for a, b in zip(values, values[1:])]
     assert len(history) >= 1
     assert all(b <= a for a, b in zip(history, history[1:]))
-    assert value == pytest.approx(math.atan(0.5 * math.pi), rel=1e-12)
+    assert value[0] == pytest.approx(math.atan(0.5 * math.pi), rel=1e-12)
+    assert err_est[0] == history[-1] and nodes[0] == 32 << len(history)
 
 
 @pytest.fixture(scope="module")
@@ -158,12 +178,46 @@ def test_gauss_doubling_stops_at_cap_and_names_point(node_cache):
     m = ModelParams(xi=0.25, v=0.7, kappa=0.5)
     started = time.perf_counter()
     with pytest.raises(QuadratureFailureError) as info:
-        _gauss_doubling(lambda theta: 1.0 / np.sqrt(np.abs(theta - 0.3)), m)
+        _one_row(
+            lambda scale: _gauss_doubling(lambda theta, s: s / np.sqrt(np.abs(theta - 0.3)), scale),
+            m,
+            1.0,
+        )
     assert time.perf_counter() - started < 0.1
     msg = str(info.value)
     assert "1024" in msg
     assert "(0.25, 0.5, 0.7)" in msg
     assert "last change" in msg
+
+
+@pytest.mark.parametrize("frac", [0.97, 0.99, 0.999])
+def test_contact_regime_time_matches_quadpack(frac):
+    # xi = 2: x_s > 1, so the electrode touches down before it stagnates;
+    # the reference is QUADPACK with the x^-1/2 endpoint weight
+    xi = 2.0
+    m = ModelParams(xi=xi, v=frac * cubic_pullin(xi, 0.0).v_dpi)
+    cls = classify_regime(m)
+    assert cls.regime == REGIME_CONTACT and cls.x_s > 1.0 and cls.a_sq < 0.0
+    ref, _ = quad(
+        lambda x: math.sqrt((xi + 1.0 - x) / g_of_x(x, xi, m.v)), 0.0, 1.0,
+        weight="alg", wvar=(-0.5, 0.0), epsabs=0.0, epsrel=1e-13, limit=500,
+    )
+    t_c = contact_time_by_quadrature(m, cls=cls)
+    assert t_c == pytest.approx(ref, rel=1e-12)
+    # the unobstructed orbit would stagnate later, beyond the surface
+    assert t_c < period_by_quadrature(m, cls=cls).t_s
+    if frac == 0.99:
+        traj = integrate(m, IntegratorConfig(scheme="adaptive", t_max=1.2 * t_c))
+        assert traj.terminated_by == "touchdown"
+        assert traj.first_event("touchdown").t == pytest.approx(t_c, rel=1e-6)
+
+
+def test_contact_time_zero_width_peak_is_stagnation_time():
+    # xi = 2, v^2 = 6: g = (x - 1)(x - 2), so x_s = 1 exactly and a^2 = -1/4
+    # gives the endpoint peak zero width; contact and stagnation coincide
+    t_c, _, _ = contact_times(np.array([2.0]), np.zeros(1), np.array([1.5]), np.array([-0.25]))
+    t_s = period_by_quadrature(ModelParams(xi=2.0, v=math.sqrt(6.0))).t_s
+    assert t_c[0] == pytest.approx(t_s, rel=1e-12)
 
 
 def _mp_contact_time(xi: float, kappa: float, delta: float) -> tuple[float, mpmath.mpf]:
