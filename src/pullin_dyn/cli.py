@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -123,7 +124,8 @@ class RunRecord:
     stages: dict = field(default_factory=dict)
 
     def to_json(self, precision: int = DEFAULT_PRECISION) -> str:
-        return json.dumps(_round_floats(asdict(self), precision), sort_keys=True)
+        # _round_floats copies every dict and list, so asdict's deep copy is not needed
+        return json.dumps(_round_floats(vars(self), precision), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
@@ -247,7 +249,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision", type=int, default=argparse.SUPPRESS)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built on first use and shared by later calls.
+
+    Each add_argument builds a HelpFormatter that queries the terminal size,
+    so a build costs more than a small sweep; parsing leaves no state behind.
+    """
     parser = argparse.ArgumentParser(
         prog="pullin-dyn",
         description="Pull-in analysis and dynamics of an undamped electrostatic actuator",
@@ -448,18 +456,19 @@ def _axis(eff: dict, name: str) -> list[float]:
         flag = f"--{name}-range"
         if len(rng) != 3:
             raise InvalidParameterError(f"{flag} takes MIN MAX STEPS, got {rng!r}")
-        lo, hi = _number(float, rng[0], flag), _number(float, rng[1], flag)
+        lo, hi = (_finite(_number(float, bound, flag), flag) for bound in rng[:2])
         steps = _number(int, rng[2], flag)
         if steps < 2 or not hi > lo:
             raise InvalidParameterError(f"bad {name} range")
         return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-    return [float(eff.get(name, 0.0))]
+    return [_finite(float(eff.get(name, 0.0)), f"--{name}")]
 
 
-def _csv_cell(val, precision: int) -> str:
-    if val is None:
-        return ""
-    return fmt_float(val, precision) if isinstance(val, float) else str(val)
+def _finite(val: float, flag: str) -> float:
+    # a non-finite bound makes NaN grid points, and JSON has no NaN or Infinity
+    if not math.isfinite(val):
+        raise InvalidParameterError(f"{flag} must be finite, got {val!r}")
+    return val
 
 
 def _cell(exc: PullInDynError) -> str:
@@ -518,6 +527,30 @@ def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: 
     return rows
 
 
+def _write_sweep(path: str, spec: dict, rows: list[dict]) -> None:
+    # Each column is rounded once with one template: "%.{p}g" % x is
+    # format(x, ".{p}g"), so a CSV cell reads as fmt_float's text and a JSON
+    # number as _round_floats's; csv.writer still quotes error cells and
+    # writes None as an empty cell.
+    precision = spec["precision"]
+    columns = ["xi", "kappa", "v", *spec["outputs"], "error"]
+    text, number = f"%.{precision}g", float if spec["format"] == "json" else str
+    cells = [[number(text % c) if isinstance(c, float) else c for c in [row[k] for row in rows]] for k in columns]
+    spec_out = _round_floats(spec, precision)
+    if spec["format"] == "json":
+        payload = {"spec": spec_out, "columns": columns, "rows": [dict(zip(columns, row)) for row in zip(*cells)]}
+        # one dumps call: json.dump streams through the pure-Python encoder
+        with open(path, "w") as fh:
+            fh.write(json.dumps(payload, sort_keys=True) + "\n")
+    else:
+        with open(path, "w", newline="") as fh:
+            fh.write(f"# pullin-dyn sweep version={__version__}\n")
+            fh.write(f"# spec {json.dumps(spec_out, sort_keys=True)}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(zip(*cells))
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     precision = _resolve_precision(args)
     eff = _effective(
@@ -537,7 +570,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     if "v_min" not in eff or "v_max" not in eff or "v_steps" not in eff:
         raise InvalidParameterError("sweep requires --v-min, --v-max and --v-steps")
-    v_min, v_max, v_steps = float(eff["v_min"]), float(eff["v_max"]), int(eff["v_steps"])
+    v_min, v_max = _finite(float(eff["v_min"]), "--v-min"), _finite(float(eff["v_max"]), "--v-max")
+    v_steps = int(eff["v_steps"])
     if not (v_min < v_max and v_steps >= 2):
         raise InvalidParameterError("sweep requires v_min < v_max and v_steps >= 2")
     xis = _axis(eff, "xi")
@@ -567,24 +601,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "format": fmt,
         "precision": precision,
     }
-    columns = ["xi", "kappa", "v", *wanted, "error"]
-    if fmt == "json":
-        payload = {
-            "spec": spec,
-            "columns": columns,
-            "rows": [{k: row[k] for k in columns} for row in rows],
-        }
-        # one dumps call: json.dump streams through the pure-Python encoder
-        with open(args.output, "w") as fh:
-            fh.write(json.dumps(_round_floats(payload, precision), sort_keys=True) + "\n")
-    else:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(f"# pullin-dyn sweep version={__version__}\n")
-            fh.write(f"# spec {json.dumps(_round_floats(spec, precision), sort_keys=True)}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_csv_cell(row[col], precision) for col in columns])
+    _write_sweep(args.output, spec, rows)
 
     stages = {"rows_s": rows_done - started, "write_s": time.perf_counter() - rows_done}
     params = {**spec, "output": args.output}

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -483,6 +484,163 @@ def test_sweep_json_single_object(capsys, tmp_path):
     assert isinstance(payload, dict)
     assert len(payload["rows"]) == 3
     assert payload["spec"]["v_steps"] == 3
+
+
+def _reference_round_floats(obj, precision):
+    if isinstance(obj, float):
+        return float(format(obj, f".{precision}g"))
+    if isinstance(obj, dict):
+        return {k: _reference_round_floats(v, precision) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_round_floats(v, precision) for v in obj]
+    return obj
+
+
+def _reference_sweep_text(spec, rows):
+    # the per-cell writer: _round_floats over the whole JSON payload, or one
+    # csv.writer row of format()ed cells per grid point
+    p = spec["precision"]
+    columns = ["xi", "kappa", "v", *spec["outputs"], "error"]
+    if spec["format"] == "json":
+        payload = {"spec": spec, "columns": columns, "rows": [{k: row[k] for k in columns} for row in rows]}
+        return json.dumps(_reference_round_floats(payload, p), sort_keys=True) + "\n"
+    buf = io.StringIO()
+    buf.write(f"# pullin-dyn sweep version={pullin_dyn.__version__}\n")
+    buf.write(f"# spec {json.dumps(_reference_round_floats(spec, p), sort_keys=True)}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        cells = (row[k] for k in columns)
+        writer.writerow(["" if c is None else format(c, f".{p}g") if isinstance(c, float) else str(c) for c in cells])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "extra", [[], ["--precision", "3"], ["--precision", "17"], ["--outputs", "t_c,regime"]], ids=str
+)
+def test_sweep_file_matches_per_cell_reference(capsys, tmp_path, monkeypatch, fmt, extra):
+    # periodic, touch-down and contact rows, empty cells, non-convex pairs
+    # and invalid v (error cells with colons)
+    seen = []
+    write = cli._write_sweep
+    monkeypatch.setattr(cli, "_write_sweep", lambda *a: (seen.append(a), write(*a)))
+    path = tmp_path / f"sweep.{fmt}"
+    run_json(
+        capsys, "sweep", "--xi-range", "0", "2", "3", "--kappa-range", "0", "2", "3",
+        "--v-min", "-0.1", "--v-max", "3", "--v-steps", "7", "--format", fmt, *extra, "--output", str(path),
+    )
+    [(_, spec, rows)] = seen
+    assert {"periodic", "touchdown", "contact", None} <= {r["regime"] for r in rows}
+    errors = {r["error"].split(":")[0] for r in rows if r["error"]}
+    assert errors == {"ConvexityError", "InvalidParameterError"}
+    assert path.read_bytes() == _reference_sweep_text(spec, rows).encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_writer_rounds_numpy_floats_and_quotes_cells(tmp_path, fmt):
+    spec = {
+        "xi": [0.0, 0.1], "kappa": 0.0, "v_min": 0.1, "v_max": 1.0 / 3.0, "v_steps": 2,
+        "outputs": ["x_s", "regime"], "format": fmt, "precision": 17,
+    }
+    values = [1.0 / 3.0, 0.1, -0.0, 5e-324, 1.7976931348623157e308, 7.132198208919252, 2.0]
+    rows = [
+        {"xi": 0.1, "kappa": 0.0, "v": v, "x_s": v, "regime": "periodic", "error": None} for v in values
+    ] + [
+        {"xi": 0.1, "kappa": 0.0, "v": 0.2, "x_s": None, "regime": None,
+         "error": 'QuadratureFailureError: at (xi, kappa, v) = (0.1, 0.0, 0.2); "last" 1e-3'}
+    ]
+    numpy_rows = [{k: np.float64(c) if isinstance(c, float) else c for k, c in row.items()} for row in rows]
+    for precision in (3, 12, 17):
+        spec["precision"] = precision
+        expected = _reference_sweep_text(spec, rows)
+        assert _reference_sweep_text(spec, numpy_rows) == expected
+        for cells in (rows, numpy_rows):
+            cli._write_sweep(str(tmp_path / "out"), spec, cells)
+            assert (tmp_path / "out").read_text() == expected
+
+
+def _untimed(stdout):
+    try:
+        record = json.loads(stdout)
+    except ValueError:
+        return stdout
+    if isinstance(record, dict):
+        record.pop("stages", None)
+        record.pop("wall_time_s", None)
+    return record
+
+
+def test_reused_parser_holds_no_state(capsys, tmp_path, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # the usage text of an argparse error wraps to it
+    monkeypatch.delenv("PULLIN_DYN_PRECISION", raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kappa = 0.3\nformat = json\nprecision = 5\n")
+    out = str(tmp_path / "sweep.out")
+    sweep = ["sweep", "--xi", "0.2", "--v-min", "0.1", "--v-max", "0.7", "--v-steps", "4", "--output", out]
+    calls = [
+        sweep + ["--config", str(cfg)],
+        sweep,
+        ["classify", "--xi", "0", "--v", "0.5", "--eps-v", "1e-3"],
+        ["sweep", "--v-min", "0.1", "--v-max", "0.7", "--v-steps", "x", "--output", out],
+        ["period", "--xi", "0", "--v", "0.4"],
+        sweep + ["--config", str(cfg)],
+    ]
+
+    def result(code, stdout, stderr):
+        written = Path(out).read_bytes() if os.path.exists(out) else None
+        if os.path.exists(out):
+            os.remove(out)
+        return code, _untimed(stdout), stderr, written
+
+    src = os.path.dirname(os.path.dirname(pullin_dyn.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pullin_dyn.cli", *argv], env=env, capture_output=True, text=True
+        )
+        fresh.append(result(proc.returncode, proc.stdout, proc.stderr))
+    assert [r[0] for r in fresh] == [0, 0, 0, 2, 0, 0]
+    assert fresh[0][3] != fresh[1][3]  # the config changes the table
+
+    for argv, expected in zip(calls, fresh):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert result(code, captured.out, captured.err) == expected, argv
+
+
+@pytest.mark.parametrize(
+    "config_line, argv, flag",
+    [
+        (None, ["--v-min", "0.1", "--v-max", "inf", "--v-steps", "3"], "--v-max"),
+        (None, ["--v-min=-inf", "--v-max", "0.4", "--v-steps", "3"], "--v-min"),
+        (None, ["--v-min", "nan", "--v-max", "0.4", "--v-steps", "3"], "--v-min"),
+        ("v_max = inf", ["--v-min", "0.1", "--v-steps", "3"], "--v-max"),
+        ("v_min = -inf", ["--v-max", "0.4", "--v-steps", "3"], "--v-min"),
+        (None, ["--xi-range", "0", "inf", "3", "--v-min", "0.1", "--v-max", "0.4", "--v-steps", "3"], "--xi-range"),
+        (None, ["--kappa-range", "0", "inf", "3", "--v-min", "0.1", "--v-max", "0.4", "--v-steps", "3"],
+         "--kappa-range"),
+        ("xi_range = 0, inf, 3", ["--v-min", "0.1", "--v-max", "0.4", "--v-steps", "3"], "--xi-range"),
+        ("kappa_range = 0, nan, 3", ["--v-min", "0.1", "--v-max", "0.4", "--v-steps", "3"], "--kappa-range"),
+        (None, ["--xi", "inf", "--v-min", "0.1", "--v-max", "0.4", "--v-steps", "3"], "--xi"),
+    ],
+)
+def test_sweep_rejects_non_finite_bounds(capsys, tmp_path, config_line, argv, flag):
+    extra = []
+    if config_line is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_line + "\n")
+        extra += ["--config", str(cfg)]
+    out_path = tmp_path / "sweep.json"
+    code, out, err = run_cli(capsys, "sweep", *argv, *extra, "--format", "json", "--output", str(out_path))
+    assert code == 2 and out == ""
+    assert flag in err and "finite" in err
+    assert not out_path.exists()
 
 
 def test_generic_subcommand(capsys):
