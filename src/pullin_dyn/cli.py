@@ -475,12 +475,12 @@ def _cell(exc: PullInDynError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: tuple[str, ...]) -> list[dict]:
-    """Every row of the grid in one pass over arrays of rows.
+def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: tuple[str, ...]) -> dict[str, list]:
+    """The sweep table as columns, computed in one pass over arrays of rows.
 
     The rows of an (xi, kappa) pair share its cached pull-in point. An
     invalid input, a non-convex pair or a failed quadrature fills the error
-    cell of its own rows only.
+    cell of its own rows only. A cell with no value is None.
     """
 
     def pull(xi: float, kappa: float, v: float) -> PullInResult | str:
@@ -494,40 +494,38 @@ def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: 
     grid = [(xi, kappa, v) for xi in xis for kappa in kappas for v in vs]
     pairs = {(xi, kappa): pull(xi, kappa, 0.0) for xi in xis for kappa in kappas}
     pulls = [pairs[xi, kappa] if math.isfinite(v) and v >= 0.0 else pull(xi, kappa, v) for xi, kappa, v in grid]
-    rows = [
-        {"xi": xi, "kappa": kappa, "v": v, **dict.fromkeys(_SWEEP_COLUMNS), "error": p if isinstance(p, str) else None}
-        for (xi, kappa, v), p in zip(grid, pulls)
-    ]
-    ok = [i for i, row in enumerate(rows) if row["error"] is None]
-    xi, kappa, v, x0, v_dpi = np.array(
-        [grid[i] + (pulls[i].x0, pulls[i].v_dpi) for i in ok], dtype=float
-    ).reshape(-1, 5).T
+    error = [p if isinstance(p, str) else None for p in pulls]
+    ok = [i for i, e in enumerate(error) if e is None]
+    xi, kappa, v, x0, v_dpi, x_dpi = np.array(
+        [grid[i] + (pulls[i].x0, pulls[i].v_dpi, pulls[i].x_dpi) for i in ok], dtype=float
+    ).reshape(-1, 6).T
     regime, x_s, x2, a_sq = classify_rows(xi, kappa, v, x0, v_dpi)
     t_p, t_c = np.full((2, len(ok)), np.nan)
-    failures: dict[int, PullInDynError] = {}  # by index into ok
     at = (regime == REGIME_PERIODIC).nonzero()[0]
     if "t_p" in wanted and at.size:
         q, bad = factor_rows(xi[at], v[at], kappa[at], x_s[at], x2[at])
         t_s, _, err_est = stagnation_times(xi[at], x_s[at], x2[at], *q)
         t_p[at] = 2.0 * t_s
-        failures.update((at[j], _cap_error(*grid[ok[at[j]]], err_est[j])) for j in np.isnan(t_s).nonzero()[0])
-        failures.update((at[j], exc) for j, exc in bad.items())  # raised before the quadrature
+        for j in np.isnan(t_s).nonzero()[0]:
+            error[ok[at[j]]] = _cell(_cap_error(*grid[ok[at[j]]], err_est[j]))
+        for j, exc in bad.items():  # raised before the quadrature, so it wins
+            error[ok[at[j]]] = _cell(exc)
+        t_p[at[list(bad)]] = np.nan
     at = ((regime == REGIME_TOUCHDOWN) | (regime == REGIME_CONTACT)).nonzero()[0]
     if "t_c" in wanted and at.size:
         t_c[at], _, err_est = contact_times(xi[at], kappa[at], x0[at], a_sq[at])
-        failures.update((at[j], _cap_error(*grid[ok[at[j]]], err_est[j])) for j in np.isnan(t_c[at]).nonzero()[0])
-    t_p[list(failures)] = np.nan
+        for j in np.isnan(t_c[at]).nonzero()[0]:
+            error[ok[at[j]]] = _cell(_cap_error(*grid[ok[at[j]]], err_est[j]))
     x_s[regime == REGIME_CONTACT] = np.nan  # the electrode never gets there
 
-    for i, r, *cells in zip(ok, regime.tolist(), x_s.tolist(), t_p.tolist(), t_c.tolist()):
-        cells = (None if c != c else c for c in cells)
-        rows[i].update(zip(("x_s", "t_p", "t_c"), cells), regime=r, v_dpi=pulls[i].v_dpi, x_dpi=pulls[i].x_dpi)
-    for j, exc in failures.items():
-        rows[ok[j]]["error"] = _cell(exc)
-    return rows
+    cells = np.full((len(_SWEEP_COLUMNS), len(grid)), None, dtype=object)
+    for col, values in zip(cells, (x_s, t_p, t_c, regime, v_dpi, x_dpi)):
+        col[ok] = values
+    columns = {k: [None if c != c else c for c in col] for k, col in zip(_SWEEP_COLUMNS, cells.tolist())}
+    return dict(zip(("xi", "kappa", "v"), map(list, zip(*grid))), **columns, error=error)
 
 
-def _write_sweep(path: str, spec: dict, rows: list[dict]) -> None:
+def _write_sweep(path: str, spec: dict, table: dict[str, list]) -> None:
     # Each column is rounded once with one template: "%.{p}g" % x is
     # format(x, ".{p}g"), so a CSV cell reads as fmt_float's text and a JSON
     # number as _round_floats's; csv.writer still quotes error cells and
@@ -535,7 +533,7 @@ def _write_sweep(path: str, spec: dict, rows: list[dict]) -> None:
     precision = spec["precision"]
     columns = ["xi", "kappa", "v", *spec["outputs"], "error"]
     text, number = f"%.{precision}g", float if spec["format"] == "json" else str
-    cells = [[number(text % c) if isinstance(c, float) else c for c in [row[k] for row in rows]] for k in columns]
+    cells = [[number(text % c) if isinstance(c, float) else c for c in table[k]] for k in columns]
     spec_out = _round_floats(spec, precision)
     if spec["format"] == "json":
         payload = {"spec": spec_out, "columns": columns, "rows": [dict(zip(columns, row)) for row in zip(*cells)]}
@@ -588,7 +586,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise InvalidParameterError("jobs must be >= 1")
 
     started = time.perf_counter()
-    rows = _sweep_rows(xis, kappas, vs, wanted)
+    table = _sweep_rows(xis, kappas, vs, wanted)
     rows_done = time.perf_counter()
 
     spec = {
@@ -601,7 +599,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "format": fmt,
         "precision": precision,
     }
-    _write_sweep(args.output, spec, rows)
+    _write_sweep(args.output, spec, table)
 
     stages = {"rows_s": rows_done - started, "write_s": time.perf_counter() - rows_done}
     params = {**spec, "output": args.output}
@@ -611,7 +609,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         version=__version__,
         config_hash=_config_hash({k: str(v) for k, v in params.items()}),
         wall_time_s=sum(stages.values()),
-        outputs={"rows": len(rows), "path": args.output},
+        outputs={"rows": len(table["error"]), "path": args.output},
         stages=stages,
     )
     print(record.to_json(precision))

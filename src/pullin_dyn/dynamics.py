@@ -68,6 +68,7 @@ TERMINATED_TOUCHDOWN = "touchdown"
 # fixed steps are halved and energy diagnostics are not meaningful.
 _CONTACT_ZONE = 1e-3
 _MICROSTART = 1e-6  # Taylor launch interval for the adaptive scheme
+_MAX_STEPS = 10**7  # fixed steps a run may take; each stored step holds three floats
 
 
 @dataclass(frozen=True)
@@ -299,6 +300,12 @@ class _Collector:
         return np.asarray(self.t), np.asarray(self.x), np.asarray(self.v)
 
 
+def _check_step_budget(t_max: float, dt: float) -> None:
+    # ceil(t_max/dt) > N exactly when t_max/dt > N, and the quotient may be inf
+    if t_max / dt > _MAX_STEPS:
+        raise IntegratorFailureError(f"t_max={t_max} at dt={dt} exceeds the budget of {_MAX_STEPS} fixed steps")
+
+
 def _run_symplectic(
     force: Callable[[float, float], float],
     mu: float,
@@ -314,6 +321,7 @@ def _run_symplectic(
     The damping term enters the half kick explicitly and the full kick
     implicitly, which reduces to plain velocity Verlet at mu = 0.
     """
+    _check_step_budget(cfg.t_max, cfg.dt)
     col = _Collector()
     # regular steps append directly and check t against the loop's t, which
     # is always the last sample's t
@@ -600,14 +608,7 @@ def integrate(
     if v0 == 0.0 and a0 == 0.0:
         # exact equilibrium (zero voltage at rest): two-sample trajectory
         t = np.array([0.0, cfg.t_max])
-        return Trajectory(
-            t=t,
-            x=np.full(2, x0),
-            v=np.zeros(2),
-            events=[],
-            energy_drift=0.0 if m.mu == 0.0 else None,
-            terminated_by=TERMINATED_HORIZON,
-        )
+        return Trajectory(t=t, x=np.full(2, x0), v=np.zeros(2), energy_drift=0.0 if m.mu == 0.0 else None)
 
     surface = 1.0
     project = rest and m.mu == 0.0
@@ -670,6 +671,7 @@ def integrate_critical(
     double root.
     """
     cfg = cfg or IntegratorConfig()
+    _check_step_budget(cfg.t_max, cfg.dt)
     cls = classify_regime(m)
     if cls.regime != REGIME_CRITICAL:
         raise RegimeMismatchError(
@@ -726,13 +728,7 @@ def integrate_critical(
         vs_append(u * r)
 
     gap = np.asarray(us)
-    traj = Trajectory(
-        t=np.asarray(ts),
-        x=x0 - gap,
-        v=np.asarray(vs),
-        events=[],
-        terminated_by=TERMINATED_HORIZON,
-    )
+    traj = Trajectory(t=np.asarray(ts), x=x0 - gap, v=np.asarray(vs))
     if m.mu == 0.0:
         energies = energy_series(traj, m)
         traj.energy_drift = float(np.max(np.abs(energies - energies[0])))

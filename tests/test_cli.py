@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,17 @@ def test_simulate_zero_voltage_two_rows(capsys, tmp_path):
     assert data[0] == "t,x,v,H"
     assert len(data) == 3  # header + two samples
     assert data[1].startswith("0,0,0")
+
+
+def test_simulate_over_step_budget_exits_4(capsys, tmp_path):
+    path = tmp_path / "never.csv"
+    started = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "simulate", "--xi", "0", "--v", "0.4", "--dt", "1e-12", "--t-max", "1e6", "--output", str(path)
+    )
+    assert time.perf_counter() - started < 0.1
+    assert code == 4 and "budget of 10000000 fixed steps" in err
+    assert not path.exists()
 
 
 def test_simulate_periodic_events_in_footer(capsys, tmp_path):
@@ -325,12 +337,31 @@ def _scalar_sweep_row(xi, kappa, v):
     return row
 
 
-def _assert_rows_match_scalar(rows):
-    for row in rows:
+def _rows(table):
+    # the sweep table's columns as one dict per grid point
+    return [dict(zip(table, cells)) for cells in zip(*table.values())]
+
+
+def _error_parts(cell):
+    # an error cell without the number a node-cap error ends in (the change
+    # between the last two rules), and that number: the batched and the
+    # one-row matrix products round it differently
+    text, cap, last = (cell or "").partition("; last change ")
+    return text, float(last) if cap else None
+
+
+def _assert_rows_match_scalar(table):
+    for row in _rows(table):
         ref = _scalar_sweep_row(row["xi"], row["kappa"], row["v"])
         assert row.keys() == ref.keys()
-        for key in ("xi", "kappa", "v", "regime", "error", "v_dpi", "x_dpi"):
+        for key in ("xi", "kappa", "v", "regime", "v_dpi", "x_dpi"):
             assert row[key] == ref[key], (key, row, ref)
+        (text, last), (ref_text, ref_last) = _error_parts(row["error"]), _error_parts(ref["error"])
+        assert (row["error"] is None, text) == (ref["error"] is None, ref_text), (row, ref)
+        if ref_last is None:
+            assert last is None, (row, ref)
+        else:
+            assert last == pytest.approx(ref_last, rel=0.0, abs=1e-12), (row, ref)
         for key, rel, abs_ in (("x_s", 0.0, 1e-12), ("t_p", 1e-12, 0.0), ("t_c", 1e-12, 0.0)):
             if ref[key] is None:
                 assert row[key] is None, (key, row, ref)
@@ -350,12 +381,13 @@ def test_sweep_rows_equal_scalar_api_on_grid():
                 v_dpi = pullin(xi, kappa).v_dpi
                 vs += [v_dpi, v_dpi * (1.0 + 1e-13)]
                 vs += [v_dpi * (1.0 + s * 10.0**-k) for s in (-1.0, 1.0) for k in (9, 7, 5, 3, 1)]
-    rows = cli._sweep_rows(xis, kappas, vs, cli._SWEEP_COLUMNS)
+    table = cli._sweep_rows(xis, kappas, vs, cli._SWEEP_COLUMNS)
+    rows = _rows(table)
     assert len(rows) == len(xis) * len(kappas) * len(vs)
     regimes = {r["regime"] for r in rows}
     assert regimes == {None, "periodic", "critical", "touchdown", "contact"}
     assert any(r["error"] and r["error"].startswith("ConvexityError") for r in rows)
-    _assert_rows_match_scalar(rows)
+    _assert_rows_match_scalar(table)
 
 
 @given(
@@ -369,6 +401,33 @@ def test_sweep_rows_equal_scalar_api_property(xi, kappa_frac, offsets):
     v_dpi = pullin(xi, kappa).v_dpi
     vs = [max(v_dpi * (1.0 + s * 10.0**e), 0.0) for s, e in offsets]
     _assert_rows_match_scalar(cli._sweep_rows([xi], [kappa], vs, cli._SWEEP_COLUMNS))
+
+
+def test_sweep_rows_with_failed_quadrature_equal_scalar_api(monkeypatch):
+    # A 64-node cap fails the periods and contact times nearest the threshold
+    # (a period at delta = 1e-6 needs 128 nodes, a thin coating's contact
+    # time 256) and leaves the others converged; the error cells carry the
+    # scalar API's messages, and the failed rows keep their regime.
+    monkeypatch.setattr(quadrature, "_MAX_NODES", 64)
+    xis, kappas = [0.0, 1e-5], [0.0, 0.35]
+    vs = []
+    for xi in xis:
+        for kappa in kappas:
+            v_dpi = pullin(xi, kappa).v_dpi
+            vs += [v_dpi * (1.0 + s * 10.0**-k) for s in (-1.0, 1.0) for k in (9, 6, 3, 1)]
+    table = cli._sweep_rows(xis, kappas, vs, cli._SWEEP_COLUMNS)
+    failed = {r["regime"] for r in _rows(table) if r["error"] and r["error"].startswith("QuadratureFailureError")}
+    assert failed == {"periodic", "touchdown"}
+    assert any(t is not None for t in table["t_p"]) and any(t is not None for t in table["t_c"])
+    _assert_rows_match_scalar(table)
+
+
+def test_sweep_rows_all_invalid_equal_scalar_api():
+    # a non-convex pair (xi = kappa = 2) and a negative voltage: no row reaches the kernels
+    table = cli._sweep_rows([2.0], [2.0], [-0.1, 0.3], cli._SWEEP_COLUMNS)
+    assert all(table["error"]) and not any(table["regime"])
+    assert {e.split(":")[0] for e in table["error"]} == {"ConvexityError", "InvalidParameterError"}
+    _assert_rows_match_scalar(table)
 
 
 def test_contact_regime_on_every_command(capsys, tmp_path):
@@ -530,7 +589,8 @@ def test_sweep_file_matches_per_cell_reference(capsys, tmp_path, monkeypatch, fm
         capsys, "sweep", "--xi-range", "0", "2", "3", "--kappa-range", "0", "2", "3",
         "--v-min", "-0.1", "--v-max", "3", "--v-steps", "7", "--format", fmt, *extra, "--output", str(path),
     )
-    [(_, spec, rows)] = seen
+    [(_, spec, table)] = seen
+    rows = _rows(table)
     assert {"periodic", "touchdown", "contact", None} <= {r["regime"] for r in rows}
     errors = {r["error"].split(":")[0] for r in rows if r["error"]}
     assert errors == {"ConvexityError", "InvalidParameterError"}
@@ -556,7 +616,7 @@ def test_sweep_writer_rounds_numpy_floats_and_quotes_cells(tmp_path, fmt):
         expected = _reference_sweep_text(spec, rows)
         assert _reference_sweep_text(spec, numpy_rows) == expected
         for cells in (rows, numpy_rows):
-            cli._write_sweep(str(tmp_path / "out"), spec, cells)
+            cli._write_sweep(str(tmp_path / "out"), spec, {k: [row[k] for row in cells] for k in cells[0]})
             assert (tmp_path / "out").read_text() == expected
 
 

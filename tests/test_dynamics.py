@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pullin_dyn import (
     EVENT_TOUCHDOWN,
     GenericForcedModel,
     IntegratorConfig,
+    IntegratorFailureError,
     InvalidParameterError,
     ModelParams,
     NotApplicableError,
@@ -363,6 +365,16 @@ def test_tiny_horizon_runs():
         traj = integrate(m, IntegratorConfig(scheme=scheme, dt=1e-4, t_max=1e-3))
         assert traj.t[-1] <= 1e-3 + 1e-12
         assert traj.terminated_by == "horizon"
+
+
+@pytest.mark.parametrize("run", [integrate, integrate_critical], ids=["symplectic", "critical"])
+def test_fixed_step_budget_is_checked_before_any_step(run):
+    # 1e18 steps: without the budget the run never ends and its samples fill memory
+    m = ModelParams(xi=0.0, v=0.4 if run is integrate else pullin(0.0).v_dpi)
+    started = time.perf_counter()
+    with pytest.raises(IntegratorFailureError, match=r"t_max=1000000\.0 at dt=1e-12 .*budget of 10000000"):
+        run(m, IntegratorConfig(dt=1e-12, t_max=1e6))
+    assert time.perf_counter() - started < 0.1
 
 
 def test_initial_state_at_contact_trigger_rejected():

@@ -257,6 +257,10 @@ _ORACLE_CASES = (
        for d in (1e-6, 1e-3, 1e-1, 1.0)]
     # pull-in position at and just beyond the contact surface: an endpoint peak
     + [(xi, 0.0, d, 1e-10) for xi in (1.0, 1.0001) for d in (1e-6, 1e-3)]
+    # thin coatings: the sqrt(xi+1-x) factor peaks with width sqrt(xi) at the
+    # contact end of the sinh-mapped rule, which doubles to 128-256 nodes
+    + [(xi, k, d, 1e-10) for xi, k in ((1e-5, 0.0), (1e-3, 0.0), (1e-5, 0.5 * convexity_bound(1e-5)))
+       for d in (1e-6, 1e-3, 1e-1, 1.0)]
     # below delta ~ 1e-9 the double rounding of v_dpi moves t_c by ~1e-16/delta
     + [(xi, k, 1e-9, 1e-7) for xi, k in ((0.5, 0.0), (0.3, 0.5), (0.0, 1.5))]
 )
