@@ -18,9 +18,11 @@ the motion provably never goes negative.
 
 At the exact critical voltage the second-order dynamics cannot hug the saddle
 in floating point for long horizons, so :func:`integrate_critical` integrates
-the equivalent reduced first-order equation in the gap variable u = x0 - x,
-whose multiplicative decay stays strictly positive and strictly decreasing;
-the report carries the gap series alongside the materialized trajectory.
+the equivalent reduced first-order equation with coarse RK4 steps on smooth
+variables and fills the dt-spaced samples by cubic Hermite interpolation. The
+logarithm of the gap x0 - x stays finite and strictly decreasing; the report
+carries the gap alongside the materialized trajectory. When the pull-in
+position lies beyond the contact surface, the critical run ends at touch-down.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ TERMINATED_TOUCHDOWN = "touchdown"
 _CONTACT_ZONE = 1e-3
 _MICROSTART = 1e-6  # Taylor launch interval for the adaptive scheme
 _MAX_STEPS = 10**7  # fixed steps a run may take; each stored step holds three floats
+_MAX_SAMPLES = 10**6  # samples an adaptive run may keep, checked at every solver step
+_CRITICAL_STEP = 1e-2  # RK4 step of integrate_critical, independent of the sample spacing
 
 
 @dataclass(frozen=True)
@@ -154,11 +158,7 @@ class Trajectory:
         tq = np.atleast_1d(np.asarray(tq, dtype=float))
         if np.any(tq < self.t[0]) or np.any(tq > self.t[-1]):
             raise InvalidParameterError("query time outside the sampled range")
-        idx = np.clip(np.searchsorted(self.t, tq, side="right") - 1, 0, len(self.t) - 2)
-        nxt = idx + 1
-        return _hermite(
-            self.t[idx], self.x[idx], self.v[idx], self.t[nxt], self.x[nxt], self.v[nxt], tq
-        )
+        return _knot_hermite(self.t, self.x, self.v, tq)
 
     def first_crossing_time(self, level: float, refine_tol: float = 1e-10) -> float | None:
         """Time of the first upward crossing of a displacement level, or None."""
@@ -189,13 +189,15 @@ class SymmetryReport:
 
 @dataclass(frozen=True)
 class CriticalReport:
-    """Monotone approach of the critical response toward the pull-in position."""
+    """Monotone approach of the critical response toward the pull-in position;
+    steps counts the RK4 steps taken, which t_max sets and dt does not."""
 
     x_limit: float
     final_gap: float
     gap_strictly_decreasing: bool
     always_below_limit: bool
     gap: np.ndarray
+    steps: int
 
 
 @dataclass(frozen=True)
@@ -257,6 +259,30 @@ def _hermite(t0, y0, d0, t1, y1, d1, tq):
         + s * s * (3.0 - 2.0 * s) * y1
         + s * s * (s - 1.0) * h * d1
     )
+
+
+def _knot_hermite(t, y, d, tq):
+    # piecewise cubic Hermite through the knots (t, y, dy/dt), t increasing
+    i = np.clip(np.searchsorted(t, tq, side="right") - 1, 0, len(t) - 2)
+    return _hermite(t[i], y[i], d[i], t[i + 1], y[i + 1], d[i + 1], tq)
+
+
+def _rk4_knots(f: Callable[[float], float], t: float, y: float, t_end: float, y_end: float):
+    # classical RK4 at _CRITICAL_STEP on an increasing y' = f(y), from (t, y)
+    # until t reaches t_end or y reaches y_end; knot arrays t, y, y'
+    h = _CRITICAL_STEP
+    ts, ys, ds = [t], [y], [f(y)]
+    while t < t_end and y < y_end:
+        k1 = ds[-1]
+        k2 = f(y + 0.5 * h * k1)
+        k3 = f(y + 0.5 * h * k2)
+        k4 = f(y + h * k3)
+        y += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        ts.append(t)
+        ys.append(y)
+        ds.append(f(y))
+    return np.array(ts), np.array(ys), np.array(ds)
 
 
 def _contact_tail_time(rhs_sq: Callable, x_from: float, surface: float) -> float:
@@ -455,6 +481,18 @@ def _run_adaptive(
     ev_vup.terminal = bool(project_origin)
     ev_vup.direction = 1.0
 
+    def ev_budget(t, y):
+        # solve_ivp calls each event once per step; the step that overruns the
+        # sample budget becomes a root at its own end and ends the segment;
+        # calls_left and t_full are set before each segment
+        nonlocal calls_left, t_full
+        calls_left -= 1
+        if calls_left == -1:
+            t_full = t
+        return t_full - t
+
+    ev_budget.terminal = True
+
     t, x, v = 0.0, x0, v0
     col.add(t, x, v)
 
@@ -467,6 +505,8 @@ def _run_adaptive(
             d = _MICROSTART
             t, x, v = t + d, x + 0.5 * a0 * d * d, a0 * d
             col.add(t, x, v)
+        # one call at the start, then one per step, and each step one sample
+        calls_left, t_full = _MAX_SAMPLES - len(col.t) + 1, math.inf
         sol = solve_ivp(
             rhs,
             (t, cfg.t_max),
@@ -474,9 +514,11 @@ def _run_adaptive(
             method="RK45",
             rtol=cfg.rel_tol,
             atol=cfg.abs_tol,
-            events=[ev_contact, ev_vdown, ev_vup],
+            events=[ev_contact, ev_vdown, ev_vup, ev_budget],
             max_step=0.25,
         )
+        if len(sol.t_events[3]):
+            raise IntegratorFailureError(f"t_max={cfg.t_max} exceeds the adaptive budget of {_MAX_SAMPLES} samples")
         seg_events: list[Event] = []
         for te, ye in zip(sol.t_events[1], sol.y_events[1]):
             seg_events.append(Event(EVENT_STAGNATION, float(te), float(ye[0])))
@@ -511,16 +553,11 @@ def _run_adaptive(
         seg_events.sort(key=lambda e: e.t)
         col.events.extend(seg_events)
 
-        n = len(sol.t)
-        for i in range(n):
-            ti = float(sol.t[i])
-            if ti <= col.t[-1]:
-                continue
-            xi_val = float(sol.y[0, i])
-            vi_val = float(sol.y[1, i])
-            if project_last and i == n - 1:
-                xi_val, vi_val = 0.0, 0.0
-            col.add(ti, xi_val, vi_val)
+        if project_last:  # the segment ends on the origin corner
+            sol.y[:, -1] = 0.0
+        for ti, xi_val, vi_val in zip(sol.t.tolist(), *sol.y.tolist()):
+            if ti > col.t[-1]:
+                col.add(ti, xi_val, vi_val)
 
         if contact_state is not None:
             te, xe, ve = contact_state
@@ -531,11 +568,7 @@ def _run_adaptive(
         if sol.status == 0:
             break
         # relaunch after an origin projection or an anomalous turning point
-        t = float(sol.t[-1])
-        if project_last:
-            x, v = 0.0, 0.0
-        else:
-            x, v = float(sol.y[0, -1]), 0.0
+        t, x, v = float(sol.t[-1]), float(sol.y[0, -1]), 0.0
         if t >= cfg.t_max - 1e-15:
             break
 
@@ -662,16 +695,22 @@ def integrate_critical(
     """Integrate the critical response via its reduced first-order equation.
 
     At the critical voltage the residual has a double root at the pull-in
-    position x0 and the climb obeys dx/dt = sqrt(x q(x)/(xi+1-x)) (x0 - x)
-    with q positive. Integrating the gap u = x0 - x (classical RK4, step
-    cfg.dt) keeps u strictly positive and strictly decreasing for arbitrarily
-    long horizons, faithfully representing the asymptotic approach that a
-    second-order integrator cannot hold onto at double precision. The applied
-    voltage is projected onto the exactly critical value when deflating the
-    double root.
+    position x0 and the climb obeys dx/dt = r(x) (x0 - x) with
+    r(x) = sqrt(x q(x)/(xi+1-x)) and q positive. Classical RK4 at the fixed
+    step _CRITICAL_STEP, independent of cfg.dt, integrates s = sqrt(x) from
+    rest to x0/2 and then w = -ln(x0 - x); both rates are smooth and bounded.
+    Once x rounds to x0, w grows at the constant rate r(x0) and the steps end.
+    cfg.dt is the sample spacing: the samples at t = k cfg.dt (the last one at
+    t_max) are cubic Hermite fills of the RK4 knots. The gap x0 - x = exp(-w)
+    underflows to 0 past w ~ 745, so the report judges positivity and strict
+    decrease on its logarithm, which holds at any horizon. When x0 > 1 the
+    run ends at touch-down on the contact surface, its time refined on the
+    same interpolant. The budget bounds both t_max/dt samples and
+    t_max/_CRITICAL_STEP steps. The applied voltage is projected onto the
+    exactly critical value when deflating the double root.
     """
     cfg = cfg or IntegratorConfig()
-    _check_step_budget(cfg.t_max, cfg.dt)
+    _check_step_budget(cfg.t_max, min(cfg.dt, _CRITICAL_STEP))
     cls = classify_regime(m)
     if cls.regime != REGIME_CRITICAL:
         raise RegimeMismatchError(
@@ -679,65 +718,66 @@ def integrate_critical(
         )
     xs = m.x_singular
     x0 = cls.threshold.x0
+    t_max = cfg.t_max
+    surface = 1.0
     # residual as a polynomial, deflated twice at its double root; a linear
     # model leaves the quadratic (0 x + 0) x + c, which evaluates to c exactly
     q1, _ = deflate(g_coeffs(m.xi, m.v, m.kappa), x0)
     (c0, c1, c2), _ = deflate(q1, x0)
-    sqrt = math.sqrt
 
-    def rate(u: float) -> float:
-        x = x0 - u
-        val = x * ((c0 * x + c1) * x + c2) / (xs - x)
-        return sqrt(val) if val > 0.0 else 0.0
+    def q_ratio(x):  # q(x)/(xs - x), on scalars or arrays
+        return ((c0 * x + c1) * x + c2) / (xs - x)
 
-    dt = cfg.dt
-    t_max = cfg.t_max
-    t_end = t_max - 1e-12
-    a0 = 0.5 * m.v * m.v / (xs * xs)
-    t1 = dt
-    x_start = 0.5 * a0 * t1 * t1
+    def ds_dt(s: float) -> float:
+        return 0.5 * (x0 - s * s) * math.sqrt(q_ratio(s * s))
 
-    ts = [0.0, t1]
-    us = [x0, x0 - x_start]
-    vs = [0.0, a0 * t1]
-    ts_append, us_append, vs_append = ts.append, us.append, vs.append
-    u = x0 - x_start
-    r = rate(u)
-    t = t1
-    strictly_decreasing = True
-    # RK4 on du/dt = -u rate(u); k1 of a step is minus the velocity sample
-    # of the state it starts from
-    while t < t_end:
-        h = dt if dt <= t_max - t else t_max - t
-        k1 = -u * r
-        w = u + 0.5 * h * k1
-        k2 = -w * rate(w)
-        w = u + 0.5 * h * k2
-        k3 = -w * rate(w)
-        w = u + h * k3
-        k4 = -w * rate(w)
-        u_new = u + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not 0.0 < u_new < u:
-            strictly_decreasing = False
-            u_new = min(max(u_new, 1e-300), u)
-        t += h
-        u = u_new
-        r = rate(u)
-        ts_append(t)
-        us_append(u)
-        vs_append(u * r)
+    def dw_dt(w: float) -> float:
+        x = x0 - math.exp(-w)
+        return math.sqrt(x * q_ratio(x))
 
-    gap = np.asarray(us)
-    traj = Trajectory(t=np.asarray(ts), x=x0 - gap, v=np.asarray(vs))
+    # s = sqrt(x) from rest to x0/2, or to the surface if it comes first
+    t1, s1, d1 = _rk4_knots(ds_dt, 0.0, 0.0, t_max, math.sqrt(min(0.5 * x0, surface)))
+    # then w = -ln(x0 - x) to the surface, or until x rounds to x0
+    w_end = -math.log(x0 - surface if x0 > surface else 2.0**-55 * x0)
+    t2, w2, d2 = _rk4_knots(dw_dt, t1[-1], -math.log(x0 - s1[-1] ** 2), t_max, w_end)
+    steps = len(t1) + len(t2) - 2
+    t_c = math.inf
+    if s1[-1] >= 1.0 or (x0 > surface and w2[-1] >= w_end):
+        # the last step of the phase that reached the surface (s = 1 or w = w_end) brackets it
+        tk, yk, dk, level = (t1, s1, d1, 1.0) if s1[-1] >= 1.0 else (t2, w2, d2, w_end)
+        t_c = bracketed_root(lambda tq: _knot_hermite(tk, yk, dk, tq) - level,
+                             float(tk[-2]), float(tk[-1]), xtol=cfg.event_refine_tol)
+    elif t2[-1] < t_max:  # x is x0 in floating point: w grows at the rate r(x0) to the horizon
+        t2, w2, d2 = np.append(t2, t_max), np.append(w2, w2[-1] + d2[-1] * (t_max - t2[-1])), np.append(d2, d2[-1])
+
+    t = np.arange(math.ceil(t_max / cfg.dt) + 1) * cfg.dt
+    t = np.append(t[t < t_max - 1e-12], t_max)
+    t = t[t < t_c]
+    n1 = int(np.searchsorted(t, t1[-1], side="right"))
+    s = _knot_hermite(t1, s1, d1, t[:n1])
+    w = _knot_hermite(t2, w2, d2, t[n1:])
+    # the gap underflows to 0 past w ~ 745; its logarithm, -w there, does not
+    gap = np.concatenate((x0 - s * s, np.exp(-w)))
+    log_gap = np.concatenate((np.log(gap[:n1]), -w))
+    events = []
+    if t_c <= t_max:
+        keep = gap > x0 - surface  # a sample within the refine tolerance of t_c may reach it
+        t, gap = np.append(t[keep], t_c), np.append(gap[keep], x0 - surface)
+        log_gap = np.append(log_gap[keep], math.log(x0 - surface))
+        events.append(Event(EVENT_TOUCHDOWN, t_c, surface))
+    x = x0 - gap  # x0 - 1 is exact, so touch-down lands on the surface exactly
+    traj = Trajectory(t=t, x=x, v=gap * np.sqrt(x * q_ratio(x)), events=events,
+                      terminated_by=TERMINATED_TOUCHDOWN if events else TERMINATED_HORIZON)
     if m.mu == 0.0:
         energies = energy_series(traj, m)
         traj.energy_drift = float(np.max(np.abs(energies - energies[0])))
     report = CriticalReport(
         x_limit=x0,
         final_gap=float(gap[-1]),
-        gap_strictly_decreasing=strictly_decreasing and bool(np.all(np.diff(gap) < 0.0)),
-        always_below_limit=bool(np.all(gap > 0.0)),
+        gap_strictly_decreasing=bool(np.all(np.diff(log_gap) < 0.0)),
+        always_below_limit=bool(np.all(np.isfinite(log_gap))),
         gap=gap,
+        steps=steps,
     )
     return traj, report
 

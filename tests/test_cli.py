@@ -118,6 +118,19 @@ def test_simulate_over_step_budget_exits_4(capsys, tmp_path):
     assert not path.exists()
 
 
+def test_simulate_adaptive_over_sample_budget_exits_4(capsys, tmp_path, monkeypatch):
+    # the budget is checked at every solver step, so a long horizon fails
+    # early instead of running on
+    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 500)
+    path = tmp_path / "never.csv"
+    code, _, err = run_cli(
+        capsys, "simulate", "--xi", "0", "--v", "0.4", "--scheme", "adaptive", "--t-max", "1e6",
+        "--output", str(path),
+    )
+    assert code == 4 and "t_max=1000000.0 exceeds the adaptive budget of 500 samples" in err
+    assert not path.exists()
+
+
 def test_simulate_periodic_events_in_footer(capsys, tmp_path):
     path = tmp_path / "traj.csv"
     run_json(

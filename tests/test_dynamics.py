@@ -3,6 +3,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from pullin_dyn import (
     EVENT_RETURN,
@@ -15,11 +18,13 @@ from pullin_dyn import (
     ModelParams,
     NotApplicableError,
     RegimeMismatchError,
-    classify_regime,
+    convexity_bound,
     cubic_min_point,
     cubic_pullin,
+    dynamics,
     energy_series,
     first_integral_rhs,
+    g_of_x,
     generic_tc_bound,
     integrate,
     integrate_critical,
@@ -27,7 +32,7 @@ from pullin_dyn import (
     pullin,
     verify_periodicity,
 )
-from pullin_dyn.model import deflate, g_coeffs
+from pullin_dyn.model import g_second_of_x
 from pullin_dyn.quadrature import contact_time_by_quadrature, period_by_quadrature
 
 GENERIC_TC_BOUND_MU1 = 1.8414056604369606378  # root of t + exp(-t) = 2
@@ -212,56 +217,124 @@ def test_integrate_critical_cubic():
     assert rep.final_gap < 1e-2
 
 
-def _reference_critical(m: ModelParams, dt: float, t_max: float):
-    # classical RK4 on du/dt = -u rate(u), five rate evaluations per step
-    xs = m.x_singular
-    x0 = classify_regime(m).threshold.x0
-    q1, _ = deflate(g_coeffs(m.xi, m.v, m.kappa), x0)
-    qt, _ = deflate(q1, x0)
-
-    def rate(u):
-        x = x0 - u
-        q = qt[0]
-        for c in qt[1:]:
-            q = q * x + c
-        val = x * q / (xs - x)
-        return math.sqrt(val) if val > 0.0 else 0.0
-
-    def du(u):
-        return -u * rate(u)
-
-    a0 = 0.5 * m.v * m.v / (xs * xs)
-    x_start = 0.5 * a0 * dt * dt
-    ts, us, vs = [0.0, dt], [x0, x0 - x_start], [0.0, a0 * dt]
-    u, t = x0 - x_start, dt
-    while t < t_max - 1e-12:
-        h = min(dt, t_max - t)
-        k1 = du(u)
-        k2 = du(u + 0.5 * h * k1)
-        k3 = du(u + 0.5 * h * k2)
-        k4 = du(u + h * k3)
-        u_new = u + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not 0.0 < u_new < u:
-            u_new = min(max(u_new, 1e-300), u)
-        t += h
-        u = u_new
-        ts.append(t)
-        us.append(u)
-        vs.append(u * rate(u))
-    gap = np.asarray(us)
-    return np.asarray(ts), x0 - gap, np.asarray(vs), gap
+def _linear_critical_time(u, x0):
+    # kappa = 0, xs = 2 x0: t(x) = 2 phi + ln((sqrt(x0) + sqrt(x0) tan phi) /
+    # (sqrt(x0) - sqrt(x0) tan phi)), sin phi = sqrt(x/xs); the denominator is
+    # rewritten as 2 sqrt(x0) u / (sqrt(xs-x) (sqrt(xs-x) + sqrt(x))), which
+    # stays well-conditioned as the gap u = x0 - x goes to 0
+    xs, x = 2.0 * x0, x0 - u
+    return 2.0 * np.arcsin(np.sqrt(x / xs)) + np.log((np.sqrt(xs - x) + np.sqrt(x)) ** 2 / (2.0 * u))
 
 
-@pytest.mark.parametrize("xi,kappa", [(0.5, 0.0), (0.2, 1.0)])
-def test_integrate_critical_matches_reference_loop_bitwise(xi, kappa):
+def _quad_critical_time(m, x0, u):
+    # QUADPACK t(x) for the gap u = x0 - x, with g(x0 - e) = e^2 q(e) written
+    # by its Taylor expansion at the double root x0: sqrt(x) weight on
+    # [0, x0/2], then ln(gap) as the variable, where the integrand is smooth
+    xs, kappa = m.x_singular, m.kappa
+    g2, g3 = g_second_of_x(x0, m.xi, kappa), 12.0 * kappa * x0 - 3.0 * kappa * xs
+
+    def q(e):
+        return 0.5 * g2 - g3 * e / 6.0 + 0.5 * kappa * e * e
+
+    def head(x):  # the integrand times sqrt(x)
+        return math.sqrt((xs - x) / q(x0 - x)) / (x0 - x)
+
+    def tail(lam):  # dt/d(-ln gap)
+        e = math.exp(lam)
+        x = x0 - e
+        return math.sqrt((xs - x) / (x * q(e)))
+
+    kw = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
+    x = x0 - u
+    if x <= 0.5 * x0:
+        return quad(head, 0.0, x, weight="alg", wvar=(-0.5, 0.0), **kw)[0]
+    return (quad(head, 0.0, 0.5 * x0, weight="alg", wvar=(-0.5, 0.0), **kw)[0]
+            + quad(tail, math.log(u), math.log(0.5 * x0), **kw)[0])
+
+
+@pytest.mark.parametrize("xi,dt,t_max", [(0.0, 1e-4, 2.0), (0.5, 1e-4, 2.0), (0.0, 1e-3, 50.0)])
+def test_integrate_critical_linear_matches_closed_form(xi, dt, t_max):
+    m = ModelParams(xi=xi, v=pullin(xi).v_dpi)
+    traj, rep = integrate_critical(m, IntegratorConfig(dt=dt, t_max=t_max))
+    assert rep.gap_strictly_decreasing and rep.always_below_limit
+    err = np.abs(_linear_critical_time(rep.gap[1:], rep.x_limit) - traj.t[1:])
+    assert err.max() <= 1e-8
+
+
+@pytest.mark.parametrize("xi,kappa", [(0.2, 1.0), (0.5, 0.8)])
+def test_integrate_critical_cubic_matches_quadpack(xi, kappa):
     m = ModelParams(xi=xi, v=pullin(xi, kappa).v_dpi, kappa=kappa)
+    traj, rep = integrate_critical(m, IntegratorConfig(dt=1e-3, t_max=20.0))
+    assert rep.gap_strictly_decreasing and rep.always_below_limit
+    ks = np.nonzero(rep.gap >= 1e-6)[0][1:]
+    assert rep.gap[ks[-1]] < 1e-5  # the samples reach deep into the approach
+    for k in ks[np.linspace(0, len(ks) - 1, 40).astype(int)]:
+        assert abs(_quad_critical_time(m, rep.x_limit, rep.gap[k]) - traj.t[k]) <= 1e-8
+
+
+@given(st.floats(0.0, 0.999), st.floats(0.0, 0.95), st.sampled_from((1e-3, 1e-4)))
+@settings(max_examples=25, deadline=None)
+def test_integrate_critical_gap_positive_decreasing_on_grid(xi, frac, dt):
+    kappa = frac * convexity_bound(xi)
+    m = ModelParams(xi=xi, v=pullin(xi, kappa).v_dpi, kappa=kappa)
+    traj, rep = integrate_critical(m, IntegratorConfig(dt=dt, t_max=3.0))
+    assert np.all(rep.gap > 0.0) and np.all(np.diff(rep.gap) < 0.0)
+    assert rep.gap_strictly_decreasing and rep.always_below_limit
+    assert np.array_equal(traj.t[:-1], np.arange(len(traj) - 1) * dt)
+    if traj.events:  # a hardening spring can put x0 beyond the surface even at xi < 1
+        assert rep.x_limit > 1.0 and traj.terminated_by == "touchdown" and traj.x[-1] == 1.0
+    else:
+        assert traj.t[-1] == 3.0 and traj.x[-1] < 1.0
+
+
+@pytest.mark.parametrize("xi", [1.7, 3.5])  # the surface lies before x0/2 at xi = 3.5
+def test_integrate_critical_touches_down_when_pullin_lies_beyond_contact(xi):
+    m = ModelParams(xi=xi, v=pullin(xi).v_dpi)
+    traj, rep = integrate_critical(m, IntegratorConfig(dt=1e-3, t_max=20.0))
+    x0 = rep.x_limit
+    assert x0 == pytest.approx(0.5 * (1.0 + xi), abs=1e-12)
+    assert traj.x.max() <= 1.0 and traj.x[-1] == 1.0
+    assert traj.terminated_by == "touchdown"
+    (event,) = traj.events
+    assert event.kind == EVENT_TOUCHDOWN and event.x == 1.0 and event.t == traj.t[-1]
+    assert abs(event.t - _linear_critical_time(x0 - 1.0, x0)) <= 1e-8
+    assert rep.final_gap == x0 - 1.0 and rep.gap_strictly_decreasing and rep.always_below_limit
+    assert np.all(traj.v[1:] > 0.0)
+
+
+def test_integrate_critical_cubic_touchdown_matches_quadpack():
+    xi, kappa = 1.8, 0.4
+    m = ModelParams(xi=xi, v=pullin(xi, kappa).v_dpi, kappa=kappa)
+    traj, rep = integrate_critical(m, IntegratorConfig(dt=1e-4, t_max=10.0))
+    assert rep.x_limit > 1.2
+    xs = m.x_singular
+    t_c = quad(
+        lambda x: math.sqrt((xs - x) / g_of_x(x, xi, m.v, kappa)), 0.0, 1.0,
+        weight="alg", wvar=(-0.5, 0.0), epsabs=1e-14, epsrel=1e-13,
+    )[0]
+    touch = traj.first_event(EVENT_TOUCHDOWN)
+    assert abs(touch.t - t_c) <= 1e-8
+    assert traj.terminated_by == "touchdown" and traj.x.max() == 1.0
+
+
+def test_integrate_critical_touchdown_after_horizon_and_at_limit():
+    # the surface is reached after t_max: the samples end at the horizon
+    m = ModelParams(xi=1.7, v=pullin(1.7).v_dpi)
     traj, rep = integrate_critical(m, IntegratorConfig(dt=1e-3, t_max=2.0))
-    t, x, v, gap = _reference_critical(m, 1e-3, 2.0)
-    assert len(t) == 2001
-    assert np.array_equal(traj.t, t)
-    assert np.array_equal(traj.x, x)
-    assert np.array_equal(traj.v, v)
-    assert np.array_equal(rep.gap, gap)
+    assert traj.terminated_by == "horizon" and not traj.events and traj.x.max() < 1.0
+    # x0 == 1 exactly: an asymptotic approach of the surface, never contact
+    traj, rep = integrate_critical(ModelParams(xi=1.0, v=pullin(1.0).v_dpi), IntegratorConfig(dt=1e-3, t_max=30.0))
+    assert rep.x_limit == 1.0 and not traj.events and traj.terminated_by == "horizon"
+    assert rep.gap_strictly_decreasing and rep.always_below_limit
+
+
+@pytest.mark.parametrize("xi,kappa", [(0.0, 0.0), (0.2, 1.0)])
+def test_integrate_critical_steps_do_not_depend_on_sample_spacing(xi, kappa):
+    m = ModelParams(xi=xi, v=pullin(xi, kappa).v_dpi, kappa=kappa)
+    coarse = integrate_critical(m, IntegratorConfig(dt=1e-3, t_max=5.0))
+    fine = integrate_critical(m, IntegratorConfig(dt=1e-4, t_max=5.0))
+    assert coarse[1].steps == fine[1].steps <= math.ceil(5.0 / dynamics._CRITICAL_STEP) + 1
+    assert len(fine[0]) == 50001 and len(coarse[0]) == 5001
 
 
 def test_integrate_critical_rejects_other_regimes():
@@ -375,6 +448,47 @@ def test_fixed_step_budget_is_checked_before_any_step(run):
     with pytest.raises(IntegratorFailureError, match=r"t_max=1000000\.0 at dt=1e-12 .*budget of 10000000"):
         run(m, IntegratorConfig(dt=1e-12, t_max=1e6))
     assert time.perf_counter() - started < 0.1
+
+
+def test_critical_budget_bounds_the_rk4_steps_at_coarse_sample_spacing():
+    # 1e8 samples at dt = 1 fit the budget, but 1e10 RK4 steps at h = 1e-2 do not
+    m = ModelParams(xi=0.0, v=pullin(0.0).v_dpi)
+    started = time.perf_counter()
+    with pytest.raises(IntegratorFailureError, match=r"t_max=100000000\.0 at dt=0\.01 .*budget of 10000000"):
+        integrate_critical(m, IntegratorConfig(dt=1.0, t_max=1e8))
+    assert time.perf_counter() - started < 0.1
+
+
+@pytest.mark.parametrize("xi,kappa", [(0.0, 0.0), (0.2, 1.0)])
+def test_integrate_critical_long_horizon_keeps_its_report_true(xi, kappa):
+    # the gap underflows to 0 past w = -ln(gap) ~ 745, but x never reaches x0;
+    # once x rounds to x0 the steps stop and w grows linearly to the horizon
+    m = ModelParams(xi=xi, v=pullin(xi, kappa).v_dpi, kappa=kappa)
+    short = integrate_critical(m, IntegratorConfig(dt=1e-2, t_max=100.0))[1]
+    started = time.perf_counter()
+    traj, rep = integrate_critical(m, IntegratorConfig(dt=1.0, t_max=1e5))
+    assert time.perf_counter() - started < 1.0
+    assert rep.final_gap == 0.0 and rep.gap_strictly_decreasing and rep.always_below_limit
+    assert rep.steps == short.steps < 100.0 / dynamics._CRITICAL_STEP
+    assert len(traj) == 100001 and np.all(traj.x <= rep.x_limit) and np.all(np.diff(traj.x) >= 0.0)
+
+
+@pytest.mark.parametrize(
+    "params,x0",
+    [(dict(xi=0.0, v=0.4), 0.0), (dict(xi=0.0, v=0.4, mu=0.1), 0.0), (dict(xi=0.0, v=0.4), 0.3)],
+    ids=["periodic", "damped", "away-from-rest"],
+)
+def test_adaptive_sample_budget_is_checked_at_every_step(monkeypatch, params, x0):
+    # periodic rest-start runs restart once per period; damped runs and runs
+    # away from rest are one solver segment, which the budget must cut short
+    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 500)
+    started = time.perf_counter()
+    with pytest.raises(IntegratorFailureError, match=r"t_max=1000000\.0 exceeds the adaptive budget of 500 samples"):
+        integrate(ModelParams(**params), IntegratorConfig(scheme="adaptive", t_max=1e6), x0=x0)
+    assert time.perf_counter() - started < 2.0
+    # a run inside the budget is unaffected
+    traj = integrate(ModelParams(**params), IntegratorConfig(scheme="adaptive", t_max=10.0), x0=x0)
+    assert len(traj) <= 500 and traj.t[-1] == 10.0
 
 
 def test_initial_state_at_contact_trigger_rejected():
