@@ -127,10 +127,6 @@ class RunRecord:
         # _round_floats copies every dict and list, so asdict's deep copy is not needed
         return json.dumps(_round_floats(vars(self), precision), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunRecord":
-        return cls(**json.loads(text))
-
 
 def _read_config(path: str) -> dict:
     values: dict[str, str] = {}

@@ -5,13 +5,16 @@ Two schemes share one trajectory/event contract: a fixed-step staggered
 energy to O(dt^2) for undamped runs, and an adaptive explicit Runge-Kutta
 scheme backed by scipy for tolerance-driven runs. Detected events are
 stagnation (interior zero crossing of the velocity at positive displacement),
-return to the origin, and touch-down at the contact surface.
+return to the origin, and touch-down at the contact surface. Touch-down
+triggers contact_epsilon below the surface; its time adds the residual travel
+at the trigger velocity, a drift whose error lies far below either scheme's
+own error against the quadrature contact time.
 
 Origin passes of undamped rest-start motion deserve care: the exact orbit
 passes through the phase-space corner (x, v) = (0, 0), so a discretized orbit
 crosses v = 0 within an energy-error neighborhood of the corner, possibly at
-a slightly negative displacement. Such crossings inside the configured
-origin_epsilon band are recorded as return events and the state is projected
+a slightly negative displacement. Such crossings inside the band
+x <= _ORIGIN_EPSILON are recorded as return events and the state is projected
 onto the exact corner, which keeps multi-period event spacing uniform;
 negative excursions beyond the band abort with an integrator failure since
 the motion provably never goes negative.
@@ -50,11 +53,9 @@ from .model import (
     PhaseState,
     deflate,
     energy,
-    first_integral_rhs,
     g_coeffs,
     make_force,
 )
-from .quadrature import gauss_nodes
 
 SCHEME_SYMPLECTIC = "symplectic"
 SCHEME_ADAPTIVE = "adaptive"
@@ -73,6 +74,8 @@ _MICROSTART = 1e-6  # Taylor launch interval for the adaptive scheme
 _MAX_STEPS = 10**7  # fixed steps a run may take; each stored step holds three floats
 _MAX_SAMPLES = 10**6  # samples an adaptive run may keep, checked at every solver step
 _CRITICAL_STEP = 1e-2  # RK4 step of integrate_critical, independent of the sample spacing
+_DT_MIN = 1e-12  # floor of the fixed step halved near contact
+_ORIGIN_EPSILON = 1e-6  # displacement band of undamped rest-start runs treated as an origin pass
 
 
 @dataclass(frozen=True)
@@ -80,10 +83,10 @@ class IntegratorConfig:
     """Integration controls.
 
     scheme selects "symplectic" (fixed step dt) or "adaptive"
-    (rel_tol/abs_tol driven). contact_epsilon is the trigger distance below
-    the contact surface; event times are refined to event_refine_tol. Fixed
-    steps are halved near contact down to dt_min. origin_epsilon bounds the
-    displacement band treated as an origin pass.
+    (rel_tol/abs_tol driven), both up to the horizon t_max. contact_epsilon
+    is the trigger distance below the contact surface, from which the
+    touch-down time is extrapolated at the trigger velocity; other event
+    times are refined to event_refine_tol.
     """
 
     scheme: str = SCHEME_SYMPLECTIC
@@ -93,20 +96,16 @@ class IntegratorConfig:
     t_max: float = 50.0
     contact_epsilon: float = 1e-9
     event_refine_tol: float = 1e-10
-    dt_min: float = 1e-12
-    origin_epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.scheme not in (SCHEME_SYMPLECTIC, SCHEME_ADAPTIVE):
             raise InvalidParameterError(f"unknown scheme '{self.scheme}'")
-        for name in ("dt", "rel_tol", "abs_tol", "t_max", "event_refine_tol", "dt_min"):
+        for name in ("dt", "rel_tol", "abs_tol", "t_max", "event_refine_tol"):
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0.0):
                 raise InvalidParameterError(f"{name} must be finite and positive")
         if not 0.0 < self.contact_epsilon < 1e-3:
             raise InvalidParameterError("contact_epsilon must lie in (0, 1e-3)")
-        if not 0.0 < self.origin_epsilon < 1e-2:
-            raise InvalidParameterError("origin_epsilon must lie in (0, 1e-2)")
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,8 @@ class GenericForcedModel:
 
     forcing_g may be singular at the touch-down position a. c1 bounds sup|f|
     and c2 lower-bounds g on the travel range; both claims are validated by
-    grid sampling before integration.
+    grid sampling before integration, so f_fn and forcing_g must accept
+    numpy arrays of x and t (use np.sin, not math.sin).
     """
 
     mu: float
@@ -285,20 +285,6 @@ def _rk4_knots(f: Callable[[float], float], t: float, y: float, t_end: float, y_
     return np.array(ts), np.array(ys), np.array(ds)
 
 
-def _contact_tail_time(rhs_sq: Callable, x_from: float, surface: float) -> float:
-    # Residual travel time from x_from to the surface using the squared
-    # velocity profile; the substitution x = surface - delta s^2 absorbs the
-    # square-root endpoint behavior. 16 nodes are ample for the tiny layer.
-    delta = surface - x_from
-    if delta <= 0.0:
-        return 0.0
-    s, w = gauss_nodes(16, 1.0)
-    x = surface - delta * s * s
-    val = rhs_sq(x)
-    val = np.maximum(val, 1e-300)
-    return float(np.sum(w * 2.0 * delta * s / np.sqrt(val)))
-
-
 class _Collector:
     """Accumulates samples, events and the termination cause; t must increase."""
 
@@ -309,7 +295,8 @@ class _Collector:
         self.events: list[Event] = []
         self.terminated_by = TERMINATED_HORIZON
 
-    def touch_down(self, t_c: float, surface: float) -> None:
+    def touch_down(self, t: float, x: float, v: float, surface: float) -> None:
+        t_c = t + (surface - x) / v if v > 0.0 else t  # drift from the trigger state
         self.events.append(Event(EVENT_TOUCHDOWN, t_c, surface))
         self.terminated_by = TERMINATED_TOUCHDOWN
 
@@ -340,7 +327,6 @@ def _run_symplectic(
     cfg: IntegratorConfig,
     surface: float,
     project_origin: bool,
-    tail_fn: Callable[[float, float], float],
 ) -> _Collector:
     """Staggered position-velocity scheme with step halving near contact.
 
@@ -365,12 +351,12 @@ def _run_symplectic(
         dt_eff = dt_base if t + dt_base <= t_max else t_max - t
         if surface - x < zone:
             gap = surface - x
-            while dt_eff > cfg.dt_min:
+            while dt_eff > _DT_MIN:
                 vh_est = v + 0.5 * dt_eff * (a - mu * v)
                 if abs(vh_est) * dt_eff <= 0.25 * gap:
                     break
                 dt_eff *= 0.5
-            dt_eff = max(dt_eff, cfg.dt_min)
+            dt_eff = max(dt_eff, _DT_MIN)
 
         vh = v + 0.5 * dt_eff * (a - mu * v)
         x_new = x + dt_eff * vh
@@ -383,11 +369,11 @@ def _run_symplectic(
                 )
             t_cross = t + (trigger - x) / vh
             col.add(t_cross, trigger, vh)
-            col.touch_down(t_cross + tail_fn(trigger, vh), surface)
+            col.touch_down(t_cross, trigger, vh, surface)
             break
 
         if x_new < 0.0:
-            if x_new < -cfg.origin_epsilon or not project_origin:
+            if x_new < -_ORIGIN_EPSILON or not project_origin:
                 raise IntegratorFailureError(
                     f"interior displacement went negative: x={x_new} at t={t_new}"
                 )
@@ -415,7 +401,7 @@ def _run_symplectic(
                 xtol=cfg.event_refine_tol,
             )
             x_star = _hermite(t, x, v, t_new, x_new, v_new, t_star)
-            if project_origin and v < 0.0 and x_star <= cfg.origin_epsilon:
+            if project_origin and v < 0.0 and x_star <= _ORIGIN_EPSILON:
                 col.add(t_star, 0.0, 0.0)
                 col.events.append(Event(EVENT_RETURN, t_star, 0.0))
                 t, x, v = t_star, 0.0, 0.0
@@ -444,7 +430,6 @@ def _run_adaptive(
     surface: float,
     ceiling: float,
     project_origin: bool,
-    tail_fn: Callable[[float, float], float],
 ) -> _Collector:
     """Adaptive explicit Runge-Kutta segments with event-driven restarts.
 
@@ -536,7 +521,7 @@ def _run_adaptive(
             else:
                 te = float(sol.t_events[2][-1])
                 xe = float(sol.y_events[2][-1][0])
-                if xe <= cfg.origin_epsilon:
+                if xe <= _ORIGIN_EPSILON:
                     seg_events.append(Event(EVENT_RETURN, te, 0.0))
                     project_last = True
                 else:
@@ -563,7 +548,7 @@ def _run_adaptive(
             te, xe, ve = contact_state
             if te > col.t[-1]:
                 col.add(te, xe, ve)
-            col.touch_down(te + tail_fn(xe, ve), surface)
+            col.touch_down(te, xe, ve, surface)
             break
         if sol.status == 0:
             break
@@ -584,20 +569,11 @@ def _run(
     surface: float,
     ceiling: float,
     project_origin: bool,
-    tail_fn: Callable[[float, float], float],
 ) -> _Collector:
     # the configured scheme; the fixed-step one needs no force ceiling
     if cfg.scheme == SCHEME_ADAPTIVE:
-        return _run_adaptive(force, mu, x0, v0, cfg, surface, ceiling, project_origin, tail_fn)
-    return _run_symplectic(force, mu, x0, v0, cfg, surface, project_origin, tail_fn)
-
-
-def _drift_tail(surface: float) -> Callable[[float, float], float]:
-    # residual travel to the surface at the trigger velocity
-    def tail_fn(xe: float, ve: float) -> float:
-        return (surface - xe) / ve if ve > 0.0 else 0.0
-
-    return tail_fn
+        return _run_adaptive(force, mu, x0, v0, cfg, surface, ceiling, project_origin)
+    return _run_symplectic(force, mu, x0, v0, cfg, surface, project_origin)
 
 
 def _finalize(col: _Collector, m: ModelParams | None, surface: float) -> Trajectory:
@@ -643,19 +619,11 @@ def integrate(
         t = np.array([0.0, cfg.t_max])
         return Trajectory(t=t, x=np.full(2, x0), v=np.zeros(2), energy_drift=0.0 if m.mu == 0.0 else None)
 
-    surface = 1.0
-    project = rest and m.mu == 0.0
-    if project:
-        def tail_fn(xe: float, ve: float) -> float:
-            return _contact_tail_time(lambda xx: first_integral_rhs(xx, m), xe, surface)
-    else:
-        tail_fn = _drift_tail(surface)
-
     def force(x: float, t: float) -> float:
         return fast(x)
 
-    col = _run(force, m.mu, x0, v0, cfg, surface, m.x_singular, project, tail_fn)
-    return _finalize(col, m, surface)
+    col = _run(force, m.mu, x0, v0, cfg, 1.0, m.x_singular, rest and m.mu == 0.0)
+    return _finalize(col, m, 1.0)
 
 
 def verify_periodicity(traj: Trajectory) -> SymmetryReport:
@@ -817,13 +785,8 @@ def _validate_generic_bounds(gm: GenericForcedModel, t_max: float) -> None:
     try:
         fv = np.broadcast_to(np.asarray(gm.f_fn(xg, tg), dtype=float), xg.shape)
         gv = np.broadcast_to(np.asarray(gm.forcing_g(xg, tg), dtype=float), xg.shape)
-    except Exception:
-        fv = np.empty_like(xg)
-        gv = np.empty_like(xg)
-        for i in range(xg.shape[0]):
-            for j in range(xg.shape[1]):
-                fv[i, j] = gm.f_fn(xg[i, j], tg[i, j])
-                gv[i, j] = gm.forcing_g(xg[i, j], tg[i, j])
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"f_fn and forcing_g must accept arrays of x and t: {exc}") from exc
     sup_f = float(np.max(np.abs(fv)))
     inf_g = float(np.min(gv))
     if sup_f > gm.c1 + _BOUND_SLACK:
@@ -855,7 +818,7 @@ def integrate_generic(
             raise SingularityError(f"x={x} at or beyond touch-down position a={gm.a}")
         return gm.lam * gm.forcing_g(x, t) - gm.f_fn(x, t)
 
-    col = _run(force, gm.mu, 0.0, 0.0, cfg, gm.a, gm.a, False, _drift_tail(gm.a))
+    col = _run(force, gm.mu, 0.0, 0.0, cfg, gm.a, gm.a, False)
     traj = _finalize(col, None, gm.a)
 
     margin = gm.lam * gm.c2 - gm.c1

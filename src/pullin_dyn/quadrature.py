@@ -5,9 +5,9 @@ stagnation position; the contact time integrates the same quantity to the
 contact surface x = 1. Both integrands carry inverse-square-root endpoint
 factors, removed exactly by the substitution x = x_top sin^2(theta): each
 simple root of the squared-velocity factorization contributes a smooth
-trigonometric factor. In particular the uncoated case xi = 0, where the
-integrand behaves like sqrt(1 - x) at the contact surface, becomes a smooth
-cos^2 factor and needs no special treatment.
+trigonometric factor. The touch-down time takes x_top = xi + 1 and stops
+at x = 1, so its sqrt(xi + 1 - x) factor, which varies on a width xi at the
+contact surface, becomes sqrt(xi + 1) cos(theta), smooth for every xi >= 0.
 
 Just above the pull-in voltage the contact-time integrand has a peak of
 half-width ~ sqrt(v - v_dpi) at the pull-in position; a sinh map centred on
@@ -144,10 +144,11 @@ def contact_times(xi, kappa, x0, a_sq):
     """Contact time of arrays of points, column-wise: the touch-down regime
     (a_sq > 0) and the contact regime (a_sq < 0, x0 > 1).
 
-    With x = sin^2(theta) the integrand is 2 cos(theta) sqrt((xi+1-x)/g(x))
-    with g strictly positive on [0, 1); for xi = 0 the remaining sqrt(1-x)
-    factor reduces to cos(theta) exactly, so a single smooth quadrature
-    covers every xi >= 0.
+    With x = top sin^2(theta) over sin^2(theta) <= 1/top the integrand is
+    2 sqrt(top) cos(theta) sqrt((xi+1-x)/g(x)) with g strictly positive on
+    [0, 1). The touch-down regime takes top = xi+1, where xi+1-x =
+    top cos^2(theta) exactly; the contact regime keeps top = 1, where g(1) -> 0
+    as x_s -> 1.
 
     g = a^2 + (x - x0)^2 q(x), with x0 the pull-in position, q the residual
     at v = 0 deflated twice at x0 and a^2 = a_sq, so 1/sqrt(g) peaks at x0
@@ -162,27 +163,30 @@ def contact_times(xi, kappa, x0, a_sq):
     x_peak = np.minimum(x0, 1.0)
     q_peak = deflate(q, x_peak)[1]  # the remainder is q(x_peak)
     half_width = np.sqrt(np.maximum(a_sq / q_peak + (x0 - x_peak) ** 2, 0.0))
-    theta0 = np.arcsin(np.sqrt(x_peak))
-    eps = theta0 - np.arcsin(np.sqrt(np.maximum(x_peak - half_width, 0.0)))
+    top = np.where(a_sq > 0.0, xi + 1.0, 1.0)
+    xs_top = np.where(a_sq > 0.0, 0.0, xi)  # xi+1-top, exactly
+    theta0 = np.arcsin(np.sqrt(x_peak / top))
+    eps = theta0 - np.arcsin(np.sqrt(np.maximum(x_peak - half_width, 0.0) / top))
     # a zero-width endpoint peak (x_s = 1 in the contact regime, g(1) = 0)
     # leaves a smooth integrand, which any positive eps maps
     eps = np.where(eps > 0.0, eps, 1.0)
 
-    # theta = theta0 + eps sinh(u) over [u_lo, u_hi], u = u_lo + scale t
+    # theta = theta0 + eps sinh(u) over [u_lo, u_hi], u = u_lo + scale t, up to x = 1
     u_lo = -np.arcsinh(theta0 / eps)
-    scale = (np.arcsinh((_HALF_PI - theta0) / eps) - u_lo) / _HALF_PI
+    scale = (np.arcsinh((np.arcsin(np.sqrt(1.0 / top)) - theta0) / eps) - u_lo) / _HALF_PI
 
-    def mapped(t, u_lo, scale, eps, theta0, shift, a_sq, xs, q0, q1, q2):
+    def mapped(t, u_lo, scale, eps, amp, theta0, x_peak, shift, a_sq, top, xs_top, q0, q1, q2):
         u = u_lo + scale * t
         d = eps * np.sinh(u)  # theta - theta0, without cancellation
         theta = theta0 + d
-        x = np.sin(theta) ** 2
-        # x - x0 = sin(theta + theta0) sin(theta - theta0) + (x_peak - x0)
-        gap = np.sin(theta + theta0) * np.sin(d) + shift
-        g = a_sq + gap * gap * ((q0 * x + q1) * x + q2)
-        return (2.0 * eps * scale) * np.cosh(u) * np.cos(theta) * np.sqrt((xs - x) / g)
+        rise = top * np.sin(theta + theta0) * np.sin(d)  # x - x_peak
+        x = x_peak + rise
+        g = a_sq + (rise + shift) ** 2 * ((q0 * x + q1) * x + q2)
+        cos = np.cos(theta)
+        return amp * np.cosh(u) * cos * np.sqrt((xs_top + top * cos * cos) / g)
 
-    return _gauss_doubling(mapped, u_lo, scale, eps, theta0, x_peak - x0, a_sq, xi + 1.0, *q)
+    amp = 2.0 * eps * scale * np.sqrt(top)
+    return _gauss_doubling(mapped, u_lo, scale, eps, amp, theta0, x_peak, x_peak - x0, a_sq, top, xs_top, *q)
 
 
 def period_by_quadrature(

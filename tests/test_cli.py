@@ -418,9 +418,9 @@ def test_sweep_rows_equal_scalar_api_property(xi, kappa_frac, offsets):
 
 def test_sweep_rows_with_failed_quadrature_equal_scalar_api(monkeypatch):
     # A 64-node cap fails the periods and contact times nearest the threshold
-    # (a period at delta = 1e-6 needs 128 nodes, a thin coating's contact
-    # time 256) and leaves the others converged; the error cells carry the
-    # scalar API's messages, and the failed rows keep their regime.
+    # (a period at delta = 1e-6 needs 128 nodes, and so does a kappa = 0.35
+    # contact time at delta = 1e-6) and leaves the others converged; the error
+    # cells carry the scalar API's messages, and the failed rows keep their regime.
     monkeypatch.setattr(quadrature, "_MAX_NODES", 64)
     xis, kappas = [0.0, 1e-5], [0.0, 0.35]
     vs = []
@@ -829,5 +829,5 @@ def test_run_record_roundtrip():
         outputs={"samples": 10},
         stages={"resolve_s": 0.0625, "integrate_s": 0.125, "write_s": 0.1875},
     )
-    back = RunRecord.from_json(rec.to_json())
+    back = RunRecord(**json.loads(rec.to_json()))
     assert back == rec

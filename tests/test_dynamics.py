@@ -58,7 +58,7 @@ def test_config_validation():
     with pytest.raises(InvalidParameterError):
         IntegratorConfig(contact_epsilon=1e-2)
     # an infinite horizon would never end the fixed-step loop
-    for name in ("t_max", "rel_tol", "abs_tol", "event_refine_tol", "dt_min"):
+    for name in ("t_max", "rel_tol", "abs_tol", "event_refine_tol"):
         for bad in (math.inf, math.nan):
             with pytest.raises(InvalidParameterError):
                 IntegratorConfig(**{name: bad})
@@ -160,6 +160,20 @@ def test_touchdown_run_adaptive_cross_validates():
         traj = integrate(m, IntegratorConfig(scheme="adaptive", t_max=15.0))
         touch = traj.first_event(EVENT_TOUCHDOWN)
         assert touch.t == pytest.approx(contact_time_by_quadrature(m), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "xi, v_frac, kappa",
+    [(0.5, None, 0.3), (2.0, 1.05, 0.0), (2.0, 0.99, 0.0)],  # the last in the contact regime
+)
+def test_adaptive_touchdown_time_includes_the_drift_beyond_the_trigger(xi, v_frac, kappa):
+    # the residual travel from the trigger is 4e-10 to 1e-9 of t_c here, so
+    # a touch-down time without it misses the bound
+    v = 1.2 if v_frac is None else v_frac * pullin(xi, kappa).v_dpi
+    m = ModelParams(xi=xi, v=v, kappa=kappa)
+    traj = integrate(m, IntegratorConfig(scheme="adaptive", t_max=15.0))
+    touch = traj.first_event(EVENT_TOUCHDOWN)
+    assert touch.t == pytest.approx(contact_time_by_quadrature(m), rel=1e-10)
 
 
 def test_damped_run_records_turning_points():
@@ -381,6 +395,16 @@ def test_generic_bound_claims_are_validated():
     )
     with pytest.raises(InvalidParameterError):
         integrate_generic(bad, IntegratorConfig(dt=1e-3, t_max=2.0))
+
+
+def test_generic_model_that_does_not_broadcast_is_rejected_at_once():
+    scalar_only = GenericForcedModel(
+        mu=1.0, lam=4.0, f_fn=lambda x, t: math.sin(x), forcing_g=lambda x, t: 1.0, a=1.0, c1=1.0, c2=1.0
+    )
+    start = time.perf_counter()
+    with pytest.raises(InvalidParameterError, match="must accept arrays"):
+        integrate_generic(scalar_only, IntegratorConfig(dt=1e-3, t_max=2.0))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_generic_tc_bound_mu_zero_formula():

@@ -257,8 +257,8 @@ _ORACLE_CASES = (
        for d in (1e-6, 1e-3, 1e-1, 1.0)]
     # pull-in position at and just beyond the contact surface: an endpoint peak
     + [(xi, 0.0, d, 1e-10) for xi in (1.0, 1.0001) for d in (1e-6, 1e-3)]
-    # thin coatings: the sqrt(xi+1-x) factor peaks with width sqrt(xi) at the
-    # contact end of the sinh-mapped rule, which doubles to 128-256 nodes
+    # thin coatings: x = (xi+1) sin^2(theta) turns the sqrt(xi+1-x) factor,
+    # near-singular at the contact end, into the smooth sqrt(xi+1) cos(theta)
     + [(xi, k, d, 1e-10) for xi, k in ((1e-5, 0.0), (1e-3, 0.0), (1e-5, 0.5 * convexity_bound(1e-5)))
        for d in (1e-6, 1e-3, 1e-1, 1.0)]
     # below delta ~ 1e-9 the double rounding of v_dpi moves t_c by ~1e-16/delta
@@ -274,6 +274,27 @@ def test_contact_time_matches_mpmath_oracle(xi, kappa, delta, rel):
     cls = classify_regime(m, eps_v=1e-15)
     assert cls.regime == REGIME_TOUCHDOWN
     assert contact_time_by_quadrature(m, cls=cls) == pytest.approx(float(ref), rel=rel)
+
+
+@pytest.mark.parametrize("xi, delta", [(1e-5, 1e-11), (5e-6, 1e-10), (1e-6, 1e-3)])
+def test_thin_coating_contact_time_matches_mpmath_on_the_same_residual(xi, delta):
+    # The oracle integrates the code's own g = a_sq + (x - x0)^2 (q = 1 at
+    # kappa = 0) at 40 digits, so the rounding of v_dpi, which moves t_c by
+    # ~1e-16/delta, does not enter; sqrt(xi+1-x) varies on a width xi at x = 1.
+    m = ModelParams(xi=xi, v=cubic_pullin(xi, 0.0).v_dpi * (1.0 + delta))
+    cls = classify_regime(m, eps_v=1e-15)
+    assert cls.regime == REGIME_TOUCHDOWN
+    with mpmath.workdps(40):
+        xs, x0, a_sq = mpmath.mpf(xi) + 1, mpmath.mpf(cls.threshold.x0), mpmath.mpf(cls.a_sq)
+
+        def f(x):
+            return mpmath.sqrt((xs - x) / (x * (a_sq + (x - x0) ** 2)))
+
+        pts = {mpmath.mpf(0), mpmath.mpf(1), x0}
+        pts |= {x0 + s * mpmath.sqrt(a_sq) * mpmath.mpf(10) ** k for k in range(13) for s in (-1, 1)}
+        pts |= {1 - xi * mpmath.mpf(10) ** k for k in range(-3, 8)}
+        ref = mpmath.quad(f, sorted(x for x in pts if 0 <= x <= 1))
+    assert contact_time_by_quadrature(m, cls=cls) == pytest.approx(float(ref), rel=1e-12)
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 0.9), st.floats(-12.0, 0.0))
