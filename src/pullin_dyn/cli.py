@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -66,16 +66,8 @@ DEFAULT_PRECISION = 12
 _PRECISION_ENV = "PULLIN_DYN_PRECISION"
 
 _PHYS_KEYS = ("mass", "spring_k", "spring_k3", "area", "gap", "voltage", "d0", "eps_r", "eps0")
-_NORM_KEYS = ("xi", "v", "kappa", "mu")
-_CFG_KEYS = (
-    "scheme",
-    "dt",
-    "rel_tol",
-    "abs_tol",
-    "t_max",
-    "contact_epsilon",
-    "event_refine_tol",
-)
+_NORM_KEYS = tuple(f.name for f in fields(ModelParams))
+_CFG_KEYS = tuple(f.name for f in fields(IntegratorConfig))  # "scheme" first
 _SWEEP_COLUMNS = ("x_s", "t_p", "t_c", "regime", "v_dpi", "x_dpi")
 # Allowed values of the keys with a fixed set, for flags and config files alike.
 _CHOICES = {"format": ("csv", "json"), "method": ("quad", "ode", "both")}
@@ -215,12 +207,7 @@ def _resolve_model(args: argparse.Namespace) -> ModelParams:
             **({"eps0": phys["eps0"]} if "eps0" in phys else {}),
         )
         return normalize_physical(p)
-    return ModelParams(
-        xi=norm.get("xi", 0.0),
-        v=norm.get("v", 0.0),
-        kappa=norm.get("kappa", 0.0),
-        mu=norm.get("mu", 0.0),
-    )
+    return ModelParams(**norm)
 
 
 def _resolve_cfg(args: argparse.Namespace, scheme_default: str = SCHEME_SYMPLECTIC) -> IntegratorConfig:

@@ -3,12 +3,13 @@
 Two schemes share one trajectory/event contract: a fixed-step staggered
 (velocity Verlet) scheme, which is the deterministic default and conserves
 energy to O(dt^2) for undamped runs, and an adaptive explicit Runge-Kutta
-scheme backed by scipy for tolerance-driven runs. Detected events are
-stagnation (interior zero crossing of the velocity at positive displacement),
-return to the origin, and touch-down at the contact surface. Touch-down
-triggers contact_epsilon below the surface; its time adds the residual travel
-at the trigger velocity, a drift whose error lies far below either scheme's
-own error against the quadrature contact time.
+scheme for tolerance-driven runs: a plain loop over scipy's RK45 stepper that
+finds each event on the dense output of the step where it occurs. Detected
+events are stagnation (interior zero crossing of the velocity at positive
+displacement), return to the origin, and touch-down at the contact surface.
+Touch-down triggers contact_epsilon below the surface; its time adds the
+residual travel at the trigger velocity, a drift whose error lies far below
+either scheme's own error against the quadrature contact time.
 
 Origin passes of undamped rest-start motion deserve care: the exact orbit
 passes through the phase-space corner (x, v) = (0, 0), so a discretized orbit
@@ -70,7 +71,6 @@ TERMINATED_TOUCHDOWN = "touchdown"
 # Width of the contact layer (relative to the contact surface) inside which
 # fixed steps are halved and energy diagnostics are not meaningful.
 _CONTACT_ZONE = 1e-3
-_MICROSTART = 1e-6  # Taylor launch interval for the adaptive scheme
 _MAX_STEPS = 10**7  # fixed steps a run may take; each stored step holds three floats
 _MAX_SAMPLES = 10**6  # samples an adaptive run may keep, checked at every solver step
 _CRITICAL_STEP = 1e-2  # RK4 step of integrate_critical, independent of the sample spacing
@@ -85,8 +85,9 @@ class IntegratorConfig:
     scheme selects "symplectic" (fixed step dt) or "adaptive"
     (rel_tol/abs_tol driven), both up to the horizon t_max. contact_epsilon
     is the trigger distance below the contact surface, from which the
-    touch-down time is extrapolated at the trigger velocity; other event
-    times are refined to event_refine_tol.
+    touch-down time is extrapolated at the trigger velocity; other fixed-step
+    event times are refined to event_refine_tol, adaptive ones to 4 machine
+    epsilons.
     """
 
     scheme: str = SCHEME_SYMPLECTIC
@@ -300,6 +301,10 @@ class _Collector:
         self.events.append(Event(EVENT_TOUCHDOWN, t_c, surface))
         self.terminated_by = TERMINATED_TOUCHDOWN
 
+    def corner(self, t: float) -> None:
+        self.add(t, 0.0, 0.0)  # the origin corner (x, v) = (0, 0), where the motion returns
+        self.events.append(Event(EVENT_RETURN, t, 0.0))
+
     def add(self, t: float, x: float, v: float) -> None:
         if self.t and t <= self.t[-1]:
             raise IntegratorFailureError(
@@ -379,8 +384,7 @@ def _run_symplectic(
                 )
             # descending zero crossing inside the (linear) drift
             t_zero = t + (0.0 - x) / vh
-            col.add(t_zero, 0.0, 0.0)
-            col.events.append(Event(EVENT_RETURN, t_zero, 0.0))
+            col.corner(t_zero)
             t, x, v = t_zero, 0.0, 0.0
             a = force(x, t)
             continue
@@ -402,8 +406,7 @@ def _run_symplectic(
             )
             x_star = _hermite(t, x, v, t_new, x_new, v_new, t_star)
             if project_origin and v < 0.0 and x_star <= _ORIGIN_EPSILON:
-                col.add(t_star, 0.0, 0.0)
-                col.events.append(Event(EVENT_RETURN, t_star, 0.0))
+                col.corner(t_star)
                 t, x, v = t_star, 0.0, 0.0
                 a = force(x, t)
                 continue
@@ -431,131 +434,65 @@ def _run_adaptive(
     ceiling: float,
     project_origin: bool,
 ) -> _Collector:
-    """Adaptive explicit Runge-Kutta segments with event-driven restarts.
+    """Steps of scipy's RK45, stepped directly, with events found on each step.
 
-    Each segment ends at the horizon, at the terminal contact event, or (for
-    undamped rest-start runs) at an upward velocity crossing, where the state
-    is projected onto the origin corner and relaunched. Launches from v = 0
-    use a short Taylor step so the solver never starts on an event root.
+    After each accepted step, a rise of x through the contact trigger ends
+    the run, a fall of v through 0 is a stagnation, and a rise of v through 0
+    is a return (undamped rest-start runs within _ORIGIN_EPSILON of the
+    origin, where the state is projected onto the corner and the solver
+    restarted) or else an interior turning point, recorded as a stagnation.
+    Event times are brentq roots of the step's dense output, as solve_ivp
+    finds them. A crossing needs a nonzero sign at the step's start, so a
+    start at v = 0 is no event.
     """
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import RK45
+    from scipy.optimize import brentq
 
     col = _Collector()
     trigger = surface - cfg.contact_epsilon
     clamp = ceiling - 1e-13 * max(1.0, ceiling)
+    tol = 4.0 * np.finfo(float).eps  # solve_ivp's event tolerance
 
     def rhs(t, y):
         x = y[0] if y[0] < clamp else clamp
         return (y[1], force(x, t) - mu * y[1])
 
-    def ev_contact(t, y):
-        return y[0] - trigger
+    def start(t: float, x: float, v: float):
+        return RK45(rhs, t, (x, v), cfg.t_max, rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=0.25)
 
-    ev_contact.terminal = True
-    ev_contact.direction = 1.0
-
-    def ev_vdown(t, y):
-        return y[1]
-
-    ev_vdown.terminal = False
-    ev_vdown.direction = -1.0
-
-    def ev_vup(t, y):
-        return y[1]
-
-    ev_vup.terminal = bool(project_origin)
-    ev_vup.direction = 1.0
-
-    def ev_budget(t, y):
-        # solve_ivp calls each event once per step; the step that overruns the
-        # sample budget becomes a root at its own end and ends the segment;
-        # calls_left and t_full are set before each segment
-        nonlocal calls_left, t_full
-        calls_left -= 1
-        if calls_left == -1:
-            t_full = t
-        return t_full - t
-
-    ev_budget.terminal = True
-
-    t, x, v = 0.0, x0, v0
-    col.add(t, x, v)
-
-    while True:
-        if v == 0.0:
-            # Taylor launch off the v = 0 event root
-            if cfg.t_max - t <= 2.0 * _MICROSTART:
-                break
-            a0 = force(x, t)
-            d = _MICROSTART
-            t, x, v = t + d, x + 0.5 * a0 * d * d, a0 * d
-            col.add(t, x, v)
-        # one call at the start, then one per step, and each step one sample
-        calls_left, t_full = _MAX_SAMPLES - len(col.t) + 1, math.inf
-        sol = solve_ivp(
-            rhs,
-            (t, cfg.t_max),
-            (x, v),
-            method="RK45",
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
-            events=[ev_contact, ev_vdown, ev_vup, ev_budget],
-            max_step=0.25,
-        )
-        if len(sol.t_events[3]):
+    col.add(0.0, x0, v0)
+    solver = start(0.0, x0, v0)
+    while solver.t < cfg.t_max:
+        if len(col.t) >= _MAX_SAMPLES:  # each step keeps one sample
             raise IntegratorFailureError(f"t_max={cfg.t_max} exceeds the adaptive budget of {_MAX_SAMPLES} samples")
-        seg_events: list[Event] = []
-        for te, ye in zip(sol.t_events[1], sol.y_events[1]):
-            seg_events.append(Event(EVENT_STAGNATION, float(te), float(ye[0])))
-        if not project_origin:
-            for te, ye in zip(sol.t_events[2], sol.y_events[2]):
-                seg_events.append(Event(EVENT_STAGNATION, float(te), float(ye[0])))
-
-        project_last = False
-        contact_state: tuple[float, float, float] | None = None
-        if sol.status == 1:
-            if len(sol.t_events[0]):
-                te = float(sol.t_events[0][0])
-                xe, ve = (float(val) for val in sol.y_events[0][0])
-                contact_state = (te, xe, ve)
-            else:
-                te = float(sol.t_events[2][-1])
-                xe = float(sol.y_events[2][-1][0])
-                if xe <= _ORIGIN_EPSILON:
-                    seg_events.append(Event(EVENT_RETURN, te, 0.0))
-                    project_last = True
-                else:
-                    seg_events.append(Event(EVENT_STAGNATION, te, xe))
-        elif sol.status == -1:
-            xe, ve = float(sol.y[0, -1]), float(sol.y[1, -1])
-            if surface - xe < _CONTACT_ZONE * surface and ve > 0.0:
-                contact_state = (float(sol.t[-1]), xe, ve)
-            else:
-                raise IntegratorFailureError(
-                    f"adaptive solver stalled: {sol.message} at t={sol.t[-1]}, x={xe}"
-                )
-
-        seg_events.sort(key=lambda e: e.t)
-        col.events.extend(seg_events)
-
-        if project_last:  # the segment ends on the origin corner
-            sol.y[:, -1] = 0.0
-        for ti, xi_val, vi_val in zip(sol.t.tolist(), *sol.y.tolist()):
-            if ti > col.t[-1]:
-                col.add(ti, xi_val, vi_val)
-
-        if contact_state is not None:
-            te, xe, ve = contact_state
-            if te > col.t[-1]:
-                col.add(te, xe, ve)
-            col.touch_down(te, xe, ve, surface)
-            break
-        if sol.status == 0:
-            break
-        # relaunch after an origin projection or an anomalous turning point
-        t, x, v = float(sol.t[-1]), float(sol.y[0, -1]), 0.0
-        if t >= cfg.t_max - 1e-15:
-            break
+        t_old, x, v = col.t[-1], col.x[-1], col.v[-1]
+        message = solver.step()
+        if solver.status == "failed":
+            if surface - x < _CONTACT_ZONE * surface and v > 0.0:
+                col.touch_down(t_old, x, v, surface)  # stalled at contact
+                break
+            raise IntegratorFailureError(f"adaptive solver stalled: {message} at t={t_old}, x={x}")
+        t = solver.t
+        x_new, v_new = solver.y.tolist()
+        hit = x < trigger <= x_new
+        turn = v > 0.0 >= v_new or v < 0.0 <= v_new
+        if hit or turn:
+            dense = solver.dense_output()
+            t_c = brentq(lambda s: dense(s)[0] - trigger, t_old, t, xtol=tol, rtol=tol) if hit else math.inf
+            t_e = brentq(lambda s: dense(s)[1], t_old, t, xtol=tol, rtol=tol) if turn else math.inf
+            if t_e < t_c:  # a turn after the contact trigger is never reached
+                x_e = float(dense(t_e)[0])
+                if project_origin and v < 0.0 and x_e <= _ORIGIN_EPSILON:
+                    col.corner(t_e)
+                    solver = start(t_e, 0.0, 0.0)
+                    continue
+                col.events.append(Event(EVENT_STAGNATION, t_e, x_e))
+            if hit:
+                x_c, v_c = dense(t_c).tolist()
+                col.add(t_c, x_c, v_c)
+                col.touch_down(t_c, x_c, v_c, surface)
+                break
+        col.add(t, x_new, v_new)
 
     return col
 

@@ -32,7 +32,7 @@ from pullin_dyn import (
     pullin,
     verify_periodicity,
 )
-from pullin_dyn.model import g_second_of_x
+from pullin_dyn.model import g_second_of_x, make_force
 from pullin_dyn.quadrature import contact_time_by_quadrature, period_by_quadrature
 
 GENERIC_TC_BOUND_MU1 = 1.8414056604369606378  # root of t + exp(-t) = 2
@@ -174,6 +174,70 @@ def test_adaptive_touchdown_time_includes_the_drift_beyond_the_trigger(xi, v_fra
     traj = integrate(m, IntegratorConfig(scheme="adaptive", t_max=15.0))
     touch = traj.first_event(EVENT_TOUCHDOWN)
     assert touch.t == pytest.approx(contact_time_by_quadrature(m), rel=1e-10)
+
+
+def _solve_ivp_events(rhs, t_max: float, surface: float, corner: bool) -> list[tuple[str, float]]:
+    # one plain solve_ivp segment from rest with the adaptive scheme's tolerances:
+    # v falling through 0 is a stagnation, v rising through 0 a return (rest
+    # starts that reach the origin corner) or a stagnation, and x rising
+    # through the trigger a touch-down, dated by the drift to the surface
+    from scipy.integrate import solve_ivp
+
+    cfg = IntegratorConfig(scheme="adaptive", t_max=t_max)
+    trigger = surface - cfg.contact_epsilon
+
+    def v_down(t, y):
+        return y[1]
+
+    def v_up(t, y):
+        return y[1]
+
+    def contact(t, y):
+        return y[0] - trigger
+
+    v_down.direction, v_up.direction, contact.direction, contact.terminal = -1.0, 1.0, 1.0, True
+    sol = solve_ivp(rhs, (0.0, t_max), (0.0, 0.0), rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=0.25,
+                    events=[v_down, v_up, contact])
+    kinds = (EVENT_STAGNATION, EVENT_RETURN if corner else EVENT_STAGNATION, EVENT_TOUCHDOWN)
+    events = [(kind, t + (surface - y[0]) / y[1] if kind == EVENT_TOUCHDOWN else t)
+              for kind, ts, ys in zip(kinds, sol.t_events, sol.y_events)
+              for t, y in zip(ts, ys) if t > 0.0]  # a start at v = 0 is a root at t = 0
+    return sorted(events, key=lambda e: e[1])
+
+
+def _actuator_events(params: dict, t_max: float):
+    m = ModelParams(**params)
+    force = make_force(m)
+    traj = integrate(m, IntegratorConfig(scheme="adaptive", t_max=t_max))
+    ref = _solve_ivp_events(lambda t, y: (y[1], force(y[0]) - m.mu * y[1]), t_max, 1.0, m.mu == 0.0)
+    return traj, ref
+
+
+def _generic_oscillator_events(t_max: float):
+    gm = make_generic(0.2, mu=0.0)
+    traj, _ = integrate_generic(gm, IntegratorConfig(scheme="adaptive", t_max=t_max))
+    ref = _solve_ivp_events(
+        lambda t, y: (y[1], gm.lam * gm.forcing_g(y[0], t) - gm.f_fn(y[0], t) - gm.mu * y[1]), t_max, gm.a, False
+    )
+    return traj, ref
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: _actuator_events(dict(xi=0.0, v=0.4, mu=0.5), 20.0),
+        lambda: _actuator_events(dict(xi=0.0, v=0.4), 7.5),  # the first period, t_p ~ 7.14
+        lambda: _generic_oscillator_events(30.0),
+        lambda: _actuator_events(dict(xi=0.5, v=1.2, kappa=0.3), 15.0),
+    ],
+    ids=["damped", "first-period", "generic-oscillator", "touchdown"],
+)
+def test_adaptive_events_match_a_solve_ivp_oracle(run):
+    # the step loop finds each event on the step's dense output, as solve_ivp does
+    traj, ref = run()
+    assert [e.kind for e in traj.events] == [kind for kind, _ in ref]
+    for e, (_, t_ref) in zip(traj.events, ref):
+        assert e.t == pytest.approx(t_ref, rel=1e-12)
 
 
 def test_damped_run_records_turning_points():
@@ -462,6 +526,10 @@ def test_tiny_horizon_runs():
         traj = integrate(m, IntegratorConfig(scheme=scheme, dt=1e-4, t_max=1e-3))
         assert traj.t[-1] <= 1e-3 + 1e-12
         assert traj.terminated_by == "horizon"
+    # an adaptive run reaches a horizon of 1e-6 in one step
+    traj = integrate(m, IntegratorConfig(scheme="adaptive", t_max=1e-6))
+    assert len(traj) >= 2 and traj.t[-1] == 1e-6
+    assert traj.terminated_by == "horizon" and np.isfinite(traj.interpolate_x(0.0)).all()
 
 
 @pytest.mark.parametrize("run", [integrate, integrate_critical], ids=["symplectic", "critical"])
