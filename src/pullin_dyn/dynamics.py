@@ -3,8 +3,9 @@
 Two schemes share one trajectory/event contract: a fixed-step staggered
 (velocity Verlet) scheme, which is the deterministic default and conserves
 energy to O(dt^2) for undamped runs, and an adaptive explicit Runge-Kutta
-scheme for tolerance-driven runs: a plain loop over scipy's RK45 stepper that
-finds each event on the dense output of the step where it occurs. Detected
+scheme for tolerance-driven runs: a plain loop of Dormand-Prince 5(4) steps
+on float locals, with scipy RK45's step control, that finds each event on the
+quartic dense output of the step where it occurs. Detected
 events are stagnation (interior zero crossing of the velocity at positive
 displacement), return to the origin, and touch-down at the contact surface.
 Touch-down triggers contact_epsilon below the surface; its time adds the
@@ -76,6 +77,22 @@ _MAX_SAMPLES = 10**6  # samples an adaptive run may keep, checked at every solve
 _CRITICAL_STEP = 1e-2  # RK4 step of integrate_critical, independent of the sample spacing
 _DT_MIN = 1e-12  # floor of the fixed step halved near contact
 _ORIGIN_EPSILON = 1e-6  # displacement band of undamped rest-start runs treated as an origin pass
+_EPS = np.finfo(float).eps
+# RK45's step control: the largest step, and the safety factor and bounds of a step-size change
+_MAX_STEP = 0.25
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+# Shampine's quartic dense output of the Dormand-Prince pair (Math. Comp. 46
+# (1986) 135), as RK45 uses it: row i weights stage i in the coefficients of
+# s, s^2, s^3 and s^4, where s is the fraction of the step
+_DP5_DENSE = (
+    (1.0, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799),
+    (0.0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072),
+    (0.0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632),
+    (0.0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844),
+    (0.0, 40617522/29380423, -110615467/29380423, 69997945/29380423),
+)
 
 
 @dataclass(frozen=True)
@@ -324,15 +341,8 @@ def _check_step_budget(t_max: float, dt: float) -> None:
         raise IntegratorFailureError(f"t_max={t_max} at dt={dt} exceeds the budget of {_MAX_STEPS} fixed steps")
 
 
-def _run_symplectic(
-    force: Callable[[float, float], float],
-    mu: float,
-    x0: float,
-    v0: float,
-    cfg: IntegratorConfig,
-    surface: float,
-    project_origin: bool,
-) -> _Collector:
+def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float, v0: float, cfg: IntegratorConfig,
+                    surface: float, project_origin: bool) -> _Collector:
     """Staggered position-velocity scheme with step halving near contact.
 
     The damping term enters the half kick explicitly and the full kick
@@ -352,7 +362,7 @@ def _run_symplectic(
     col.add(t, x, v)
     half_mu = 0.5 * mu
 
-    while t < t_max - 1e-15:
+    while t < t_max:
         dt_eff = dt_base if t + dt_base <= t_max else t_max - t
         if surface - x < zone:
             gap = surface - x
@@ -424,89 +434,140 @@ def _run_symplectic(
     return col
 
 
-def _run_adaptive(
-    force: Callable[[float, float], float],
-    mu: float,
-    x0: float,
-    v0: float,
-    cfg: IntegratorConfig,
-    surface: float,
-    ceiling: float,
-    project_origin: bool,
-) -> _Collector:
-    """Steps of scipy's RK45, stepped directly, with events found on each step.
+def _rms(a: float, b: float) -> float:
+    return math.sqrt(a * a + b * b) / math.sqrt(2.0)
 
-    After each accepted step, a rise of x through the contact trigger ends
-    the run, a fall of v through 0 is a stagnation, and a rise of v through 0
-    is a return (undamped rest-start runs within _ORIGIN_EPSILON of the
-    origin, where the state is projected onto the corner and the solver
-    restarted) or else an interior turning point, recorded as a stagnation.
-    Event times are brentq roots of the step's dense output, as solve_ivp
-    finds them. A crossing needs a nonzero sign at the step's start, so a
-    start at v = 0 is no event.
+
+def _start(rhs, t: float, x: float, v: float, t_max: float, rtol: float, atol: float):
+    # the derivative at the start and RK45's first step size (Hairer, Norsett
+    # & Wanner, Solving ODEs I, II.4)
+    fx, fv = rhs(t, x, v)
+    span = t_max - t
+    if span == 0.0:
+        return fx, fv, 0.0
+    sx, sv = atol + abs(x) * rtol, atol + abs(v) * rtol
+    d0, d1 = _rms(x / sx, v / sv), _rms(fx / sx, fv / sv)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    gx, gv = rhs(t + h0, x + h0 * fx, v + h0 * fv)
+    d2 = _rms((gx - fx) / sx, (gv - fv) / sv) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    return fx, fv, min(100.0 * h0, h1, span, _MAX_STEP)
+
+
+def _dp5_step(rhs, t: float, x: float, v: float, kx1: float, kv1: float, h: float):
+    """One Dormand-Prince 5(4) step of size h from (x, v) at t, where the
+    derivative is (kx1, kv1): the fifth-order state at t + h, the seven stage
+    derivatives of x and of v (the last one at that state), and the error
+    estimate of each component per unit step."""
+    kx2, kv2 = rhs(t + 1/5 * h, x + (1/5 * kx1) * h, v + (1/5 * kv1) * h)
+    kx3, kv3 = rhs(t + 3/10 * h, x + (3/40 * kx1 + 9/40 * kx2) * h, v + (3/40 * kv1 + 9/40 * kv2) * h)
+    kx4, kv4 = rhs(t + 4/5 * h, x + (44/45 * kx1 - 56/15 * kx2 + 32/9 * kx3) * h,
+                   v + (44/45 * kv1 - 56/15 * kv2 + 32/9 * kv3) * h)
+    kx5, kv5 = rhs(t + 8/9 * h, x + (19372/6561 * kx1 - 25360/2187 * kx2 + 64448/6561 * kx3 - 212/729 * kx4) * h,
+                   v + (19372/6561 * kv1 - 25360/2187 * kv2 + 64448/6561 * kv3 - 212/729 * kv4) * h)
+    kx6, kv6 = rhs(t + h,
+                   x + (9017/3168 * kx1 - 355/33 * kx2 + 46732/5247 * kx3 + 49/176 * kx4 - 5103/18656 * kx5) * h,
+                   v + (9017/3168 * kv1 - 355/33 * kv2 + 46732/5247 * kv3 + 49/176 * kv4 - 5103/18656 * kv5) * h)
+    x_new = x + h * (35/384 * kx1 + 500/1113 * kx3 + 125/192 * kx4 - 2187/6784 * kx5 + 11/84 * kx6)
+    v_new = v + h * (35/384 * kv1 + 500/1113 * kv3 + 125/192 * kv4 - 2187/6784 * kv5 + 11/84 * kv6)
+    kx7, kv7 = rhs(t + h, x_new, v_new)
+    kx, kv = (kx1, kx2, kx3, kx4, kx5, kx6, kx7), (kv1, kv2, kv3, kv4, kv5, kv6, kv7)
+    ex, ev = (-71/57600 * k[0] + 71/16695 * k[2] - 71/1920 * k[3] + 17253/339200 * k[4] - 22/525 * k[5]
+              + 1/40 * k[6] for k in (kx, kv))
+    return x_new, v_new, kx, kv, ex, ev
+
+
+def _dp5_dense(t: float, h: float, y: float, k) -> Callable[[float], float]:
+    """One component of a step's quartic dense output: y at t, stages k."""
+    q0, q1, q2, q3 = (sum(ki * row[j] for ki, row in zip(k, _DP5_DENSE)) for j in range(4))
+
+    def y_at(tq: float) -> float:
+        s = (tq - t) / h
+        return y + h * (s * (q0 + s * (q1 + s * (q2 + s * q3))))
+
+    return y_at
+
+
+def _run_adaptive(force: Callable[[float, float], float], mu: float, x0: float, v0: float, cfg: IntegratorConfig,
+                  surface: float, ceiling: float, project_origin: bool) -> _Collector:
+    """Dormand-Prince 5(4) steps under RK45's control, with events found on each step.
+
+    A step is accepted when the RMS over (x, v) of its error estimate, in
+    units of abs_tol + rel_tol |y|, is below 1. Steps are at most _MAX_STEP;
+    one below 10 ulp of t is a stall. After each accepted step, a rise of x
+    through the contact trigger ends the run, a fall of v through 0 is a
+    stagnation, and a rise of v through 0 is a return (undamped rest-start
+    runs within _ORIGIN_EPSILON of the origin, where the state is projected
+    onto the corner and the steps restart) or else an interior turning
+    point, recorded as a stagnation. Event times are bisection roots of the
+    step's quartic dense output to solve_ivp's tolerance, 4 eps (1 + |t|). A
+    crossing needs a nonzero sign at the step's start, so a start at v = 0
+    is no event.
     """
-    from scipy.integrate import RK45
-    from scipy.optimize import brentq
-
     col = _Collector()
     trigger = surface - cfg.contact_epsilon
     clamp = ceiling - 1e-13 * max(1.0, ceiling)
-    tol = 4.0 * np.finfo(float).eps  # solve_ivp's event tolerance
+    t_max, atol = cfg.t_max, cfg.abs_tol
+    rtol = max(cfg.rel_tol, 100.0 * _EPS)  # RK45's floor
 
-    def rhs(t, y):
-        x = y[0] if y[0] < clamp else clamp
-        return (y[1], force(x, t) - mu * y[1])
+    def rhs(t: float, x: float, v: float) -> tuple[float, float]:
+        return v, force(x if x < clamp else clamp, t) - mu * v
 
-    def start(t: float, x: float, v: float):
-        return RK45(rhs, t, (x, v), cfg.t_max, rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=0.25)
-
-    col.add(0.0, x0, v0)
-    solver = start(0.0, x0, v0)
-    while solver.t < cfg.t_max:
+    t, x, v = 0.0, x0, v0
+    col.add(t, x, v)
+    fx, fv, h_abs = _start(rhs, t, x, v, t_max, rtol, atol)
+    while t < t_max:
         if len(col.t) >= _MAX_SAMPLES:  # each step keeps one sample
-            raise IntegratorFailureError(f"t_max={cfg.t_max} exceeds the adaptive budget of {_MAX_SAMPLES} samples")
-        t_old, x, v = col.t[-1], col.x[-1], col.v[-1]
-        message = solver.step()
-        if solver.status == "failed":
-            if surface - x < _CONTACT_ZONE * surface and v > 0.0:
-                col.touch_down(t_old, x, v, surface)  # stalled at contact
+            raise IntegratorFailureError(f"t_max={t_max} exceeds the adaptive budget of {_MAX_SAMPLES} samples")
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = _MAX_STEP if h_abs > _MAX_STEP else max(h_abs, min_step)
+        rejected = False
+        while h_abs >= min_step:
+            t_new = min(t + h_abs, t_max)
+            h = t_new - t
+            x_new, v_new, kx, kv, ex, ev = _dp5_step(rhs, t, x, v, fx, fv, h)
+            err = _rms(ex * h / (atol + max(abs(x), abs(x_new)) * rtol),
+                       ev * h / (atol + max(abs(v), abs(v_new)) * rtol))
+            if err < 1.0:
+                factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**-0.2)
+                h_abs = h * (min(1.0, factor) if rejected else factor)
                 break
-            raise IntegratorFailureError(f"adaptive solver stalled: {message} at t={t_old}, x={x}")
-        t = solver.t
-        x_new, v_new = solver.y.tolist()
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * err**-0.2)
+            rejected = True
+        else:
+            if surface - x < _CONTACT_ZONE * surface and v > 0.0:
+                col.touch_down(t, x, v, surface)  # stalled at contact
+                break
+            raise IntegratorFailureError(f"adaptive solver stalled: Required step size is less than spacing "
+                                         f"between numbers. at t={t}, x={x}")
         hit = x < trigger <= x_new
         turn = v > 0.0 >= v_new or v < 0.0 <= v_new
         if hit or turn:
-            dense = solver.dense_output()
-            t_c = brentq(lambda s: dense(s)[0] - trigger, t_old, t, xtol=tol, rtol=tol) if hit else math.inf
-            t_e = brentq(lambda s: dense(s)[1], t_old, t, xtol=tol, rtol=tol) if turn else math.inf
+            x_at, v_at = _dp5_dense(t, h, x, kx), _dp5_dense(t, h, v, kv)
+            tol = 4.0 * _EPS * (1.0 + abs(t_new))  # solve_ivp's event tolerance
+            t_c = bracketed_root(lambda s: x_at(s) - trigger, t, t_new, xtol=tol) if hit else math.inf
+            t_e = bracketed_root(v_at, t, t_new, xtol=tol) if turn else math.inf
             if t_e < t_c:  # a turn after the contact trigger is never reached
-                x_e = float(dense(t_e)[0])
+                x_e = x_at(t_e)
                 if project_origin and v < 0.0 and x_e <= _ORIGIN_EPSILON:
                     col.corner(t_e)
-                    solver = start(t_e, 0.0, 0.0)
+                    t, x, v = t_e, 0.0, 0.0
+                    fx, fv, h_abs = _start(rhs, t, x, v, t_max, rtol, atol)
                     continue
                 col.events.append(Event(EVENT_STAGNATION, t_e, x_e))
             if hit:
-                x_c, v_c = dense(t_c).tolist()
+                x_c, v_c = x_at(t_c), v_at(t_c)
                 col.add(t_c, x_c, v_c)
                 col.touch_down(t_c, x_c, v_c, surface)
                 break
-        col.add(t, x_new, v_new)
+        col.add(t_new, x_new, v_new)
+        t, x, v, fx, fv = t_new, x_new, v_new, kx[6], kv[6]
 
     return col
 
 
-def _run(
-    force: Callable[[float, float], float],
-    mu: float,
-    x0: float,
-    v0: float,
-    cfg: IntegratorConfig,
-    surface: float,
-    ceiling: float,
-    project_origin: bool,
-) -> _Collector:
+def _run(force: Callable[[float, float], float], mu: float, x0: float, v0: float, cfg: IntegratorConfig,
+         surface: float, ceiling: float, project_origin: bool) -> _Collector:
     # the configured scheme; the fixed-step one needs no force ceiling
     if cfg.scheme == SCHEME_ADAPTIVE:
         return _run_adaptive(force, mu, x0, v0, cfg, surface, ceiling, project_origin)

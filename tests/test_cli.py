@@ -546,6 +546,30 @@ def test_cold_import_loads_no_scipy_and_no_process_pool():
     assert out.stdout.strip() == "[]"
 
 
+def test_adaptive_simulate_loads_no_scipy(tmp_path):
+    # a finder that refuses every scipy module: the adaptive run needs none
+    path = tmp_path / "traj.csv"
+    argv = ["simulate", "--xi", "0", "--v", "0.4", "--t-max", "5", "--scheme", "adaptive", "--output", str(path)]
+    code = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is refused')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from pullin_dyn import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(pullin_dyn.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
+    events = [line.split(",") for line in path.read_text().splitlines() if line.startswith("# event,")]
+    assert [e[1] for e in events] == ["stagnation"]
+    assert float(events[0][2]) == pytest.approx(3.57, abs=0.01)  # t_s at this point
+
+
 def test_sweep_json_single_object(capsys, tmp_path):
     path = tmp_path / "sweep.json"
     run_json(

@@ -240,6 +240,72 @@ def test_adaptive_events_match_a_solve_ivp_oracle(run):
         assert e.t == pytest.approx(t_ref, rel=1e-12)
 
 
+def _rk45_by_hand(m: ModelParams, t_max: float):
+    # scipy's RK45 stepped as the adaptive loop steps it: a restart at each
+    # origin corner of an undamped rest start, a stop at the contact trigger;
+    # the accepted steps and the final state
+    from scipy.integrate import RK45
+    from scipy.optimize import brentq
+
+    cfg = IntegratorConfig(scheme="adaptive", t_max=t_max)
+    force, trigger, tol = make_force(m), 1.0 - cfg.contact_epsilon, 4.0 * np.finfo(float).eps
+
+    def start(t, x, v):
+        return RK45(lambda t, y: (y[1], force(y[0]) - m.mu * y[1]), t, (x, v), t_max,
+                    rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=0.25)
+
+    solver, steps = start(0.0, 0.0, 0.0), 0
+    while solver.t < t_max:
+        v = solver.y[1]
+        solver.step()
+        steps += 1
+        dense = solver.dense_output()
+        if solver.y[0] >= trigger:
+            t_c = brentq(lambda s: dense(s)[0] - trigger, solver.t_old, solver.t, xtol=tol, rtol=tol)
+            return steps, t_c, dense(t_c)
+        if m.mu == 0.0 and v < 0.0 <= solver.y[1]:
+            t_e = brentq(lambda s: dense(s)[1], solver.t_old, solver.t, xtol=tol, rtol=tol)
+            solver = start(t_e, 0.0, 0.0)
+    return steps, solver.t, solver.y
+
+
+@pytest.mark.parametrize(
+    "params,t_max",
+    [(dict(xi=0.0, v=0.4), 50.0), (dict(xi=0.0, v=0.4, mu=0.5), 20.0), (dict(xi=0.5, v=1.2, kappa=0.3), 15.0)],
+    ids=["periodic", "damped", "touchdown"],
+)
+def test_adaptive_steps_match_rk45(params, t_max):
+    m = ModelParams(**params)
+    traj = integrate(m, IntegratorConfig(scheme="adaptive", t_max=t_max))
+    steps, t_end, (x_end, v_end) = _rk45_by_hand(m, t_max)
+    assert len(traj) - 1 == steps  # each accepted step keeps one sample
+    assert traj.t[-1] == pytest.approx(t_end, rel=1e-12)
+    assert traj.x[-1] == pytest.approx(x_end, rel=1e-12) and traj.v[-1] == pytest.approx(v_end, rel=1e-12)
+
+
+def test_dp5_step_and_quartic_match_rk45():
+    # on five RK45 steps, the hand-written step reproduces the state and the
+    # stages, and its quartic the step's dense output at three interior points
+    from scipy.integrate import RK45
+
+    force = make_force(ModelParams(xi=0.0, v=0.4))
+
+    def rhs(t, x, v):
+        return v, force(x)
+
+    solver = RK45(lambda t, y: rhs(t, *y), 0.0, (0.0, 0.0), 50.0, rtol=1e-10, atol=1e-12, max_step=0.25)
+    for _ in range(5):
+        solver.step()
+        t0, (x0, v0), h = solver.t_old, solver.y_old, solver.t - solver.t_old
+        x1, v1, kx, kv, _, _ = dynamics._dp5_step(rhs, t0, x0, v0, *solver.K[0], h)
+        assert (x1, v1) == pytest.approx(tuple(solver.y), rel=1e-13)
+        np.testing.assert_allclose(np.array([kx, kv]).T, solver.K, rtol=1e-13, atol=0.0)
+        dense = solver.dense_output()
+        x_at, v_at = dynamics._dp5_dense(t0, h, x0, kx), dynamics._dp5_dense(t0, h, v0, kv)
+        for tq in t0 + h * np.array([0.25, 0.5, 0.75]):
+            assert (x_at(tq), v_at(tq)) == pytest.approx(tuple(dense(tq)), rel=1e-13)
+
+
 def test_damped_run_records_turning_points():
     m = ModelParams(xi=0.0, v=0.4, mu=0.5)
     traj = integrate(m, IntegratorConfig(scheme="symplectic", dt=1e-4, t_max=20.0))
@@ -526,10 +592,11 @@ def test_tiny_horizon_runs():
         traj = integrate(m, IntegratorConfig(scheme=scheme, dt=1e-4, t_max=1e-3))
         assert traj.t[-1] <= 1e-3 + 1e-12
         assert traj.terminated_by == "horizon"
-    # an adaptive run reaches a horizon of 1e-6 in one step
-    traj = integrate(m, IntegratorConfig(scheme="adaptive", t_max=1e-6))
-    assert len(traj) >= 2 and traj.t[-1] == 1e-6
-    assert traj.terminated_by == "horizon" and np.isfinite(traj.interpolate_x(0.0)).all()
+    # an adaptive run reaches a horizon of 1e-6 in one step, a fixed-step run one of 1e-16
+    for scheme, t_max in (("adaptive", 1e-6), ("symplectic", 1e-16)):
+        traj = integrate(m, IntegratorConfig(scheme=scheme, t_max=t_max))
+        assert len(traj) >= 2 and traj.t[-1] == t_max
+        assert traj.terminated_by == "horizon" and np.isfinite(traj.interpolate_x(0.0)).all()
 
 
 @pytest.mark.parametrize("run", [integrate, integrate_critical], ids=["symplectic", "critical"])
