@@ -68,6 +68,10 @@ _PRECISION_ENV = "PULLIN_DYN_PRECISION"
 _PHYS_KEYS = ("mass", "spring_k", "spring_k3", "area", "gap", "voltage", "d0", "eps_r", "eps0")
 _NORM_KEYS = tuple(f.name for f in fields(ModelParams))
 _CFG_KEYS = tuple(f.name for f in fields(IntegratorConfig))  # "scheme" first
+# The keys a config file may set: the flags of every subcommand, since one file may serve several.
+_CONFIG_KEYS = frozenset(_PHYS_KEYS + _NORM_KEYS + _CFG_KEYS + (
+    "precision", "eps_v", "method", "output", "xi_range", "kappa_range", "v_min", "v_max", "v_steps",
+    "outputs", "format", "jobs", "lam", "a", "c1", "c2"))
 _SWEEP_COLUMNS = ("x_s", "t_p", "t_c", "regime", "v_dpi", "x_dpi")
 # Allowed values of the keys with a fixed set, for flags and config files alike.
 _CHOICES = {"format": ("csv", "json"), "method": ("quad", "ode", "both")}
@@ -130,7 +134,10 @@ def _read_config(path: str) -> dict:
             if "=" not in line:
                 raise InvalidParameterError(f"config line without '=': {raw.strip()!r}")
             key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key not in _CONFIG_KEYS:
+                raise InvalidParameterError(f"config key {key!r} is not a flag of any subcommand")
+            values[key] = val.strip()
     return values
 
 

@@ -6,20 +6,22 @@ energy to O(dt^2) for undamped runs, and an adaptive explicit Runge-Kutta
 scheme for tolerance-driven runs: a plain loop of Dormand-Prince 5(4) steps
 on float locals, with scipy RK45's step control, that finds each event on the
 quartic dense output of the step where it occurs. Detected
-events are stagnation (interior zero crossing of the velocity at positive
-displacement), return to the origin, and touch-down at the contact surface.
-Touch-down triggers contact_epsilon below the surface; its time adds the
-residual travel at the trigger velocity, a drift whose error lies far below
-either scheme's own error against the quadrature contact time.
+events are stagnation (a turn: zero crossing of the velocity, dated by one
+rule on the interpolant of its step in either scheme), return to the origin,
+and touch-down at the contact surface. Touch-down triggers contact_epsilon
+below the surface; its time adds the residual travel at the trigger
+velocity, a drift whose error lies far below either scheme's own error
+against the quadrature contact time.
 
 Origin passes of undamped rest-start motion deserve care: the exact orbit
 passes through the phase-space corner (x, v) = (0, 0), so a discretized orbit
-crosses v = 0 within an energy-error neighborhood of the corner, possibly at
-a slightly negative displacement. Such crossings inside the band
-x <= _ORIGIN_EPSILON are recorded as return events and the state is projected
-onto the exact corner, which keeps multi-period event spacing uniform;
-negative excursions beyond the band abort with an integrator failure since
-the motion provably never goes negative.
+turns within an energy-error neighborhood of the corner, possibly at a
+slightly negative displacement. Such turns inside the band
+|x| <= _ORIGIN_EPSILON are recorded as return events and the state is
+projected onto the exact corner, which keeps multi-period event spacing
+uniform; a turn below the band, the minimum of x, aborts with an integrator
+failure since the motion provably never goes negative. A run started away
+from rest is not projected: it may go below 0, and a turn there is a stagnation.
 
 At the exact critical voltage the second-order dynamics cannot hug the saddle
 in floating point for long horizons, so :func:`integrate_critical` integrates
@@ -77,6 +79,7 @@ _MAX_SAMPLES = 10**6  # samples an adaptive run may keep, checked at every solve
 _CRITICAL_STEP = 1e-2  # RK4 step of integrate_critical, independent of the sample spacing
 _DT_MIN = 1e-12  # floor of the fixed step halved near contact
 _ORIGIN_EPSILON = 1e-6  # displacement band of undamped rest-start runs treated as an origin pass
+_REFINE_TOL = 1e-10  # bracket width of the fixed-step turn, the critical touch-down and level crossings
 _EPS = np.finfo(float).eps
 # RK45's step control: the largest step, and the safety factor and bounds of a step-size change
 _MAX_STEP = 0.25
@@ -102,9 +105,9 @@ class IntegratorConfig:
     scheme selects "symplectic" (fixed step dt) or "adaptive"
     (rel_tol/abs_tol driven), both up to the horizon t_max. contact_epsilon
     is the trigger distance below the contact surface, from which the
-    touch-down time is extrapolated at the trigger velocity; other fixed-step
-    event times are refined to event_refine_tol, adaptive ones to 4 machine
-    epsilons.
+    touch-down time is extrapolated at the trigger velocity. Turn times are
+    refined to 1e-10 on a fixed step and to 4 machine epsilons on an adaptive
+    one.
     """
 
     scheme: str = SCHEME_SYMPLECTIC
@@ -113,12 +116,11 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
     t_max: float = 50.0
     contact_epsilon: float = 1e-9
-    event_refine_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.scheme not in (SCHEME_SYMPLECTIC, SCHEME_ADAPTIVE):
             raise InvalidParameterError(f"unknown scheme '{self.scheme}'")
-        for name in ("dt", "rel_tol", "abs_tol", "t_max", "event_refine_tol"):
+        for name in ("dt", "rel_tol", "abs_tol", "t_max"):
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0.0):
                 raise InvalidParameterError(f"{name} must be finite and positive")
@@ -177,8 +179,8 @@ class Trajectory:
             raise InvalidParameterError("query time outside the sampled range")
         return _knot_hermite(self.t, self.x, self.v, tq)
 
-    def first_crossing_time(self, level: float, refine_tol: float = 1e-10) -> float | None:
-        """Time of the first upward crossing of a displacement level, or None."""
+    def first_crossing_time(self, level: float) -> float | None:
+        """Time of the first upward crossing of a displacement level (to 1e-10), or None."""
         above = np.nonzero(self.x >= level)[0]
         if len(above) == 0:
             return None
@@ -189,7 +191,7 @@ class Trajectory:
             lambda tq: float(self.interpolate_x(tq)[0]) - level,
             float(self.t[i - 1]),
             float(self.t[i]),
-            xtol=refine_tol,
+            xtol=_REFINE_TOL,
         )
 
 
@@ -335,6 +337,29 @@ class _Collector:
         return np.asarray(self.t), np.asarray(self.x), np.asarray(self.v)
 
 
+def _turn(col: _Collector, t: float, t_new: float, v: float, v_at: Callable, x_at: Callable, xtol: float,
+          project_origin: bool, t_c: float = math.inf) -> float | None:
+    """Record the turn on a step from t to t_new where v changes sign from v.
+
+    The turn is the zero of the step's interpolant v_at, bisected to xtol; one
+    past the contact trigger t_c is never reached. In a projected run a turn
+    below -_ORIGIN_EPSILON fails, and one from v < 0 within _ORIGIN_EPSILON is
+    a corner, whose time is returned for a restart at (0, 0). Every other turn
+    is a stagnation at x_at(turn).
+    """
+    t_e = bracketed_root(v_at, t, t_new, xtol=xtol)
+    if t_e >= t_c:
+        return None
+    x_e = x_at(t_e)
+    if project_origin and x_e < -_ORIGIN_EPSILON:
+        raise IntegratorFailureError(f"interior displacement went negative: x={x_e} at t={t_e}")
+    if project_origin and v < 0.0 and x_e <= _ORIGIN_EPSILON:
+        col.corner(t_e)
+        return t_e
+    col.events.append(Event(EVENT_STAGNATION, t_e, x_e))
+    return None
+
+
 def _check_step_budget(t_max: float, dt: float) -> None:
     # ceil(t_max/dt) > N exactly when t_max/dt > N, and the quotient may be inf
     if t_max / dt > _MAX_STEPS:
@@ -346,7 +371,8 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
     """Staggered position-velocity scheme with step halving near contact.
 
     The damping term enters the half kick explicitly and the full kick
-    implicitly, which reduces to plain velocity Verlet at mu = 0.
+    implicitly, which reduces to plain velocity Verlet at mu = 0. Turns are
+    dated on the step's cubic Hermite interpolant of v.
     """
     _check_step_budget(cfg.t_max, cfg.dt)
     col = _Collector()
@@ -387,40 +413,25 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
             col.touch_down(t_cross, trigger, vh, surface)
             break
 
-        if x_new < 0.0:
-            if x_new < -_ORIGIN_EPSILON or not project_origin:
-                raise IntegratorFailureError(
-                    f"interior displacement went negative: x={x_new} at t={t_new}"
-                )
-            # descending zero crossing inside the (linear) drift
-            t_zero = t + (0.0 - x) / vh
-            col.corner(t_zero)
-            t, x, v = t_zero, 0.0, 0.0
-            a = force(x, t)
-            continue
-
         a_new = force(x_new, t_new)
         if mu:
             v_new = (vh + 0.5 * dt_eff * a_new) / (1.0 + half_mu * dt_eff)
         else:
             v_new = vh + 0.5 * dt_eff * a_new
 
-        if v != 0.0 and (v * v_new < 0.0 or v_new == 0.0):
+        if v > 0.0 >= v_new or v < 0.0 <= v_new:
             acc0 = a - mu * v
             acc1 = a_new - mu * v_new
-            t_star = bracketed_root(
+            t_corner = _turn(
+                col, t, t_new, v,
                 lambda tq: _hermite(t, v, acc0, t_new, v_new, acc1, tq),
-                t,
-                t_new,
-                xtol=cfg.event_refine_tol,
+                lambda tq: _hermite(t, x, v, t_new, x_new, v_new, tq),
+                _REFINE_TOL, project_origin,
             )
-            x_star = _hermite(t, x, v, t_new, x_new, v_new, t_star)
-            if project_origin and v < 0.0 and x_star <= _ORIGIN_EPSILON:
-                col.corner(t_star)
-                t, x, v = t_star, 0.0, 0.0
+            if t_corner is not None:
+                t, x, v = t_corner, 0.0, 0.0
                 a = force(x, t)
                 continue
-            col.events.append(Event(EVENT_STAGNATION, t_star, x_star))
 
         if t_new <= t:
             raise IntegratorFailureError(
@@ -494,15 +505,13 @@ def _run_adaptive(force: Callable[[float, float], float], mu: float, x0: float, 
 
     A step is accepted when the RMS over (x, v) of its error estimate, in
     units of abs_tol + rel_tol |y|, is below 1. Steps are at most _MAX_STEP;
-    one below 10 ulp of t is a stall. After each accepted step, a rise of x
-    through the contact trigger ends the run, a fall of v through 0 is a
-    stagnation, and a rise of v through 0 is a return (undamped rest-start
-    runs within _ORIGIN_EPSILON of the origin, where the state is projected
-    onto the corner and the steps restart) or else an interior turning
-    point, recorded as a stagnation. Event times are bisection roots of the
-    step's quartic dense output to solve_ivp's tolerance, 4 eps (1 + |t|). A
-    crossing needs a nonzero sign at the step's start, so a start at v = 0
-    is no event.
+    one below 10 ulp of t is a stall. Stages clamp x below ceiling, where
+    the force is singular. After each accepted step, a rise of x through the
+    contact trigger ends the run, and a change of sign of v before it goes to
+    _turn (a return restarts the steps at the corner). Event times are
+    bisection roots of the step's quartic dense output to solve_ivp's
+    tolerance, 4 eps (1 + |t|). A crossing needs a nonzero sign at the
+    step's start, so a start at v = 0 is no event.
     """
     col = _Collector()
     trigger = surface - cfg.contact_epsilon
@@ -546,15 +555,11 @@ def _run_adaptive(force: Callable[[float, float], float], mu: float, x0: float, 
             x_at, v_at = _dp5_dense(t, h, x, kx), _dp5_dense(t, h, v, kv)
             tol = 4.0 * _EPS * (1.0 + abs(t_new))  # solve_ivp's event tolerance
             t_c = bracketed_root(lambda s: x_at(s) - trigger, t, t_new, xtol=tol) if hit else math.inf
-            t_e = bracketed_root(v_at, t, t_new, xtol=tol) if turn else math.inf
-            if t_e < t_c:  # a turn after the contact trigger is never reached
-                x_e = x_at(t_e)
-                if project_origin and v < 0.0 and x_e <= _ORIGIN_EPSILON:
-                    col.corner(t_e)
-                    t, x, v = t_e, 0.0, 0.0
-                    fx, fv, h_abs = _start(rhs, t, x, v, t_max, rtol, atol)
-                    continue
-                col.events.append(Event(EVENT_STAGNATION, t_e, x_e))
+            t_corner = _turn(col, t, t_new, v, v_at, x_at, tol, project_origin, t_c) if turn else None
+            if t_corner is not None:
+                t, x, v = t_corner, 0.0, 0.0
+                fx, fv, h_abs = _start(rhs, t, x, v, t_max, rtol, atol)
+                continue
             if hit:
                 x_c, v_c = x_at(t_c), v_at(t_c)
                 col.add(t_c, x_c, v_c)
@@ -564,14 +569,6 @@ def _run_adaptive(force: Callable[[float, float], float], mu: float, x0: float, 
         t, x, v, fx, fv = t_new, x_new, v_new, kx[6], kv[6]
 
     return col
-
-
-def _run(force: Callable[[float, float], float], mu: float, x0: float, v0: float, cfg: IntegratorConfig,
-         surface: float, ceiling: float, project_origin: bool) -> _Collector:
-    # the configured scheme; the fixed-step one needs no force ceiling
-    if cfg.scheme == SCHEME_ADAPTIVE:
-        return _run_adaptive(force, mu, x0, v0, cfg, surface, ceiling, project_origin)
-    return _run_symplectic(force, mu, x0, v0, cfg, surface, project_origin)
 
 
 def _finalize(col: _Collector, m: ModelParams | None, surface: float) -> Trajectory:
@@ -598,8 +595,8 @@ def integrate(
     stagnation, return-to-origin, and touch-down events. The touch-down time
     extrapolates the residual travel beyond the trigger distance. Initial
     conditions other than (0, 0) are accepted but lie outside the regime
-    guarantees documented for the rest start; origin projection is then
-    disabled.
+    guarantees documented for the rest start; origin projection and its
+    displacement floor are then disabled.
     """
     cfg = cfg or IntegratorConfig()
     start = PhaseState(t=0.0, x=x0, v=v0)
@@ -608,7 +605,7 @@ def integrate(
         raise InvalidParameterError(
             f"initial displacement x0={x0} already at the contact trigger"
         )
-    rest = x0 == 0.0 and v0 == 0.0
+    project = x0 == 0.0 and v0 == 0.0 and m.mu == 0.0  # an undamped rest start passes the origin corner
     fast = make_force(m)
     a0 = fast(x0)
 
@@ -620,7 +617,8 @@ def integrate(
     def force(x: float, t: float) -> float:
         return fast(x)
 
-    col = _run(force, m.mu, x0, v0, cfg, 1.0, m.x_singular, rest and m.mu == 0.0)
+    col = (_run_adaptive(force, m.mu, x0, v0, cfg, 1.0, m.x_singular, project) if cfg.scheme == SCHEME_ADAPTIVE
+           else _run_symplectic(force, m.mu, x0, v0, cfg, 1.0, project))
     return _finalize(col, m, 1.0)
 
 
@@ -712,7 +710,7 @@ def integrate_critical(
         # the last step of the phase that reached the surface (s = 1 or w = w_end) brackets it
         tk, yk, dk, level = (t1, s1, d1, 1.0) if s1[-1] >= 1.0 else (t2, w2, d2, w_end)
         t_c = bracketed_root(lambda tq: _knot_hermite(tk, yk, dk, tq) - level,
-                             float(tk[-2]), float(tk[-1]), xtol=cfg.event_refine_tol)
+                             float(tk[-2]), float(tk[-1]), xtol=_REFINE_TOL)
     elif t2[-1] < t_max:  # x is x0 in floating point: w grows at the rate r(x0) to the horizon
         t2, w2, d2 = np.append(t2, t_max), np.append(w2, w2[-1] + d2[-1] * (t_max - t2[-1])), np.append(d2, d2[-1])
 
@@ -816,7 +814,8 @@ def integrate_generic(
             raise SingularityError(f"x={x} at or beyond touch-down position a={gm.a}")
         return gm.lam * gm.forcing_g(x, t) - gm.f_fn(x, t)
 
-    col = _run(force, gm.mu, 0.0, 0.0, cfg, gm.a, gm.a, False)
+    col = (_run_adaptive(force, gm.mu, 0.0, 0.0, cfg, gm.a, gm.a, False) if cfg.scheme == SCHEME_ADAPTIVE
+           else _run_symplectic(force, gm.mu, 0.0, 0.0, cfg, gm.a, False))
     traj = _finalize(col, None, gm.a)
 
     margin = gm.lam * gm.c2 - gm.c1

@@ -759,6 +759,34 @@ def test_config_file_with_flag_precedence(capsys, tmp_path):
     assert out2["xi"] == 0.5
 
 
+@pytest.mark.parametrize("key", ["t_maxx", "bogus", "event_refine_tol", "help", "config"])
+def test_config_key_of_no_subcommand_exits_2(capsys, tmp_path, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 5\n")
+    out_path = tmp_path / "traj.csv"
+    code, out, err = run_cli(capsys, "simulate", "--xi", "0", "--v", "0.4", "--config", str(cfg),
+                             "--output", str(out_path))
+    assert code == 2 and out == ""
+    assert repr(key) in err
+    assert not out_path.exists()
+
+
+def test_config_keys_are_the_subcommand_flags():
+    # a flag added to a subcommand is also a key a config file may set; --help and --config are not
+    (sub,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+    flags = {a.dest for p in sub.choices.values() for a in p._actions}
+    assert cli._CONFIG_KEYS == flags - {"help", "config"}
+
+
+def test_config_key_of_another_subcommand_is_allowed(capsys, tmp_path):
+    # one file may serve several subcommands: simulate ignores the sweep's and classify's keys
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("xi = 0\nv = 0.4\nt_max = 1\nv_steps = 5\neps_v = 1e-9\n")
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--output", str(tmp_path / "traj.csv"))
+    assert code == 0 and json.loads(out)["params"]["t_max"] == 1.0
+    assert run_json(capsys, "classify", "--config", str(cfg))["regime"] == "periodic"
+
+
 def test_missing_config_file_exits_2(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "classify", "--config", str(tmp_path / "nope.cfg"), "--v", "0.1")
     assert code == 2

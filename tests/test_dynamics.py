@@ -58,7 +58,7 @@ def test_config_validation():
     with pytest.raises(InvalidParameterError):
         IntegratorConfig(contact_epsilon=1e-2)
     # an infinite horizon would never end the fixed-step loop
-    for name in ("t_max", "rel_tol", "abs_tol", "event_refine_tol"):
+    for name in ("t_max", "rel_tol", "abs_tol"):
         for bad in (math.inf, math.nan):
             with pytest.raises(InvalidParameterError):
                 IntegratorConfig(**{name: bad})
@@ -317,6 +317,46 @@ def test_damped_run_records_turning_points():
     assert stags[1].x < stags[0].x or stags[1].x == pytest.approx(stags[0].x, abs=1e-12)
     energies = energy_series(traj, m)
     assert energies[-1] < energies[0]
+
+
+@pytest.mark.parametrize(
+    "params, t_max, x0",
+    [
+        (dict(xi=0.0, v=0.4, mu=0.5), 20.0, 0.0),  # damped: turns above the origin
+        (dict(xi=0.0, v=0.4), 7.5, 0.0),  # first period: a stagnation and a return
+        (dict(xi=0.5, v=1.2, kappa=0.3), 15.0, 0.0),  # touch-down
+        (dict(xi=0.0, v=0.4), 10.0, 0.3),  # away from rest: a turn below 0 is a stagnation
+    ],
+    ids=["damped", "first-period", "touchdown", "away-from-rest"],
+)
+def test_schemes_record_the_same_events(params, t_max, x0):
+    m = ModelParams(**params)
+    runs = [integrate(m, IntegratorConfig(scheme=scheme, dt=1e-4, t_max=t_max), x0=x0)
+            for scheme in ("symplectic", "adaptive")]
+    sym, ada = ([(e.kind, e.t) for e in traj.events] for traj in runs)
+    assert sym and [k for k, _ in sym] == [k for k, _ in ada]
+    for (_, t_sym), (_, t_ada) in zip(sym, ada):
+        assert t_sym == pytest.approx(t_ada, rel=1e-8)
+
+
+@pytest.mark.parametrize("scheme", ["symplectic", "adaptive"])
+def test_projected_turn_below_the_floor_fails(scheme):
+    # x'' = -x - 1/2 from rest turns at t = pi, x = -1: below the floor of a projected run, else a stagnation
+    cfg = IntegratorConfig(scheme=scheme, dt=1e-3, t_max=4.0)
+
+    def force(x, t):
+        return -x - 0.5
+
+    def run(project_origin):
+        if scheme == "adaptive":
+            return dynamics._run_adaptive(force, 0.0, 0.0, 0.0, cfg, 1.0, 2.0, project_origin)
+        return dynamics._run_symplectic(force, 0.0, 0.0, 0.0, cfg, 1.0, project_origin)
+
+    with pytest.raises(IntegratorFailureError, match=r"interior displacement went negative: x=-0\.99"):
+        run(True)
+    (event,) = run(False).events
+    assert event.kind == EVENT_STAGNATION
+    assert event.t == pytest.approx(math.pi, rel=1e-6) and event.x == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_first_crossing_time_measures_half_level(periodic_run):
