@@ -254,6 +254,8 @@ def classify_regime(m: ModelParams, eps_v: float = 1e-12) -> RegimeClassificatio
     eps_v. A subcritical voltage whose stagnation position x_s lies at or
     beyond the contact surface (possible for xi > 1) is the contact regime.
     """
+    if not (math.isfinite(eps_v) and eps_v >= 0.0):
+        raise InvalidParameterError(f"eps_v must be finite and >= 0, got {eps_v!r}")
     m.require_convex()
     thr = pullin(m.xi, m.kappa)
     rows = classify_rows(*_column(m.xi, m.kappa, m.v, thr.x0, thr.v_dpi), eps_v)

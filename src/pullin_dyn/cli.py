@@ -1,9 +1,10 @@
 """Command-line front end: parameter queries, simulation runs, sweeps.
 
 Subcommands: pullin, classify, simulate, period, sweep, generic. Flags may be
-seeded from a flat key=value file via --config, with explicit flags taking
-precedence; the PULLIN_DYN_PRECISION environment variable overrides the
-default output precision. Exit codes: 0 success, 2 invalid input, 3 convexity
+seeded from a flat key=value file via --config, output included; each value
+is read by its flag's own type, choices and arity (xi_range = MIN, MAX, STEPS),
+and explicit flags take precedence. The PULLIN_DYN_PRECISION environment
+variable overrides the default output precision. Exit codes: 0 success, 2 invalid input, 3 convexity
 violation, 4 integrator or quadrature failure, 5 regime mismatch.
 """
 
@@ -68,13 +69,7 @@ _PRECISION_ENV = "PULLIN_DYN_PRECISION"
 _PHYS_KEYS = ("mass", "spring_k", "spring_k3", "area", "gap", "voltage", "d0", "eps_r", "eps0")
 _NORM_KEYS = tuple(f.name for f in fields(ModelParams))
 _CFG_KEYS = tuple(f.name for f in fields(IntegratorConfig))  # "scheme" first
-# The keys a config file may set: the flags of every subcommand, since one file may serve several.
-_CONFIG_KEYS = frozenset(_PHYS_KEYS + _NORM_KEYS + _CFG_KEYS + (
-    "precision", "eps_v", "method", "output", "xi_range", "kappa_range", "v_min", "v_max", "v_steps",
-    "outputs", "format", "jobs", "lam", "a", "c1", "c2"))
 _SWEEP_COLUMNS = ("x_s", "t_p", "t_c", "regime", "v_dpi", "x_dpi")
-# Allowed values of the keys with a fixed set, for flags and config files alike.
-_CHOICES = {"format": ("csv", "json"), "method": ("quad", "ode", "both")}
 # Trajectory rows formatted per write: whole-file joins cost megabytes of text.
 _CSV_CHUNK_ROWS = 4096
 
@@ -124,8 +119,17 @@ class RunRecord:
         return json.dumps(_round_floats(vars(self), precision), sort_keys=True)
 
 
-def _read_config(path: str) -> dict:
-    values: dict[str, str] = {}
+def _apply_config(args: argparse.Namespace, path: str) -> None:
+    """Set the flags that the command line left unset from a key = value file.
+
+    A value is read as its flag reads one: by the flag's choices, its type,
+    and as comma-separated items for a flag of fixed arity. One file may
+    serve several subcommands, so the keys of the others are skipped.
+    """
+    (sub,) = (a for a in build_parser()._actions if a.dest == "command")
+    known = {a.dest for p in sub.choices.values() for a in p._actions} - {"help", "config"}
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
+    explicit = set(vars(args))
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -133,12 +137,22 @@ def _read_config(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise InvalidParameterError(f"config line without '=': {raw.strip()!r}")
-            key, val = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in _CONFIG_KEYS:
+            key, text = (part.strip() for part in line.split("=", 1))
+            key = key.replace("-", "_")
+            if key not in known:
                 raise InvalidParameterError(f"config key {key!r} is not a flag of any subcommand")
-            values[key] = val.strip()
-    return values
+            action = actions.get(key)
+            if action is None:
+                continue
+            if action.choices is not None and text not in action.choices:
+                raise InvalidParameterError(f"config {key}={text!r} is not one of {', '.join(action.choices)}")
+            convert = functools.partial(_number, action.type or str, name=f"config {key}")
+            if isinstance(action.nargs, int):  # MIN, MAX, STEPS
+                value = [convert(item.strip()) for item in text.split(",")]
+            else:
+                value = convert(text)
+            if key not in explicit:
+                setattr(args, key, value)
 
 
 def _number(convert, text: str, name: str):
@@ -148,35 +162,15 @@ def _number(convert, text: str, name: str):
         raise InvalidParameterError(f"{name}: {text!r} is not a number") from None
 
 
-def _coerce(key: str, val: str):
-    if key in _CHOICES and val not in _CHOICES[key]:
-        raise InvalidParameterError(f"config {key}={val!r} is not one of {', '.join(_CHOICES[key])}")
-    if key in ("scheme", "format", "outputs", "method", "output"):
-        return val
-    if key.endswith("_range"):
-        return val.split(",")
-    return _number(int if key in ("v_steps", "jobs", "precision") else float, val, f"config {key}")
-
-
-def _effective(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
-    """Merge config file values and explicit flags; explicit flags win."""
-    eff: dict = {}
-    config = getattr(args, "_config_values", {})
-    for key in keys:
-        if key in config:
-            eff[key] = _coerce(key, config[key])
-    explicit = {k: v for k, v in vars(args).items() if not k.startswith("_")}
-    for key in keys:
-        if key in explicit:
-            eff[key] = explicit[key]
-    return eff
+def _require(args: argparse.Namespace, *keys: str) -> None:
+    missing = [f"--{k.replace('_', '-')}" for k in keys if not hasattr(args, k)]
+    if missing:
+        raise InvalidParameterError(f"{args.command} requires {', '.join(missing)}")
 
 
 def _resolve_precision(args: argparse.Namespace) -> int:
-    eff = _effective(args, ("precision",))
-    if "precision" in eff:
-        precision = int(eff["precision"])
-        source = "--precision" if hasattr(args, "precision") else "config precision"
+    if hasattr(args, "precision"):
+        precision, source = args.precision, "--precision"
     else:
         env = os.environ.get(_PRECISION_ENV)
         if env is None:
@@ -191,9 +185,9 @@ def _resolve_precision(args: argparse.Namespace) -> int:
 
 
 def _resolve_model(args: argparse.Namespace) -> ModelParams:
-    eff = _effective(args, _PHYS_KEYS + _NORM_KEYS)
-    phys = {k: eff[k] for k in _PHYS_KEYS if k in eff}
-    norm = {k: eff[k] for k in _NORM_KEYS if k in eff}
+    given = vars(args)
+    phys = {k: given[k] for k in _PHYS_KEYS if k in given}
+    norm = {k: given[k] for k in _NORM_KEYS if k in given}
     if phys and norm:
         raise InvalidParameterError(
             "physical-unit flags are mutually exclusive with normalized flags"
@@ -218,7 +212,8 @@ def _resolve_model(args: argparse.Namespace) -> ModelParams:
 
 
 def _resolve_cfg(args: argparse.Namespace, scheme_default: str = SCHEME_SYMPLECTIC) -> IntegratorConfig:
-    return IntegratorConfig(**{"scheme": scheme_default, **_effective(args, _CFG_KEYS)})
+    given = vars(args)
+    return IntegratorConfig(**{"scheme": scheme_default, **{k: given[k] for k in _CFG_KEYS if k in given}})
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -266,13 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     _add_cfg_args(p)
     _add_common(p)
-    p.add_argument("--output", required=True)
+    p.add_argument("--output", default=argparse.SUPPRESS)
 
     p = sub.add_parser("period", help="stagnation time and period")
     _add_model_args(p)
     _add_cfg_args(p)
     _add_common(p)
-    p.add_argument("--method", choices=_CHOICES["method"], default=argparse.SUPPRESS)
+    p.add_argument("--method", choices=("quad", "ode", "both"), default=argparse.SUPPRESS)
 
     p = sub.add_parser("sweep", help="parameter sweep table")
     _add_common(p)
@@ -286,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-max", dest="v_max", type=float, default=argparse.SUPPRESS)
     p.add_argument("--v-steps", dest="v_steps", type=int, default=argparse.SUPPRESS)
     p.add_argument("--outputs", default=argparse.SUPPRESS, help="comma list of columns")
-    p.add_argument("--format", choices=_CHOICES["format"], default=argparse.SUPPRESS)
-    p.add_argument("--output", required=True)
+    p.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)
+    p.add_argument("--output", default=argparse.SUPPRESS)
     p.add_argument("--jobs", type=int, default=argparse.SUPPRESS, help="kept for compatibility; rows run serially")
 
     p = sub.add_parser("generic", help="generic damped touch-down check (f=x, g=1/(2(a-x)^2))")
@@ -323,8 +318,7 @@ def cmd_pullin(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     precision = _resolve_precision(args)
     m = _resolve_model(args)
-    eps = _effective(args, ("eps_v",)).get("eps_v", 1e-12)
-    cls = classify_regime(m, eps_v=eps)
+    cls = classify_regime(m, eps_v=getattr(args, "eps_v", 1e-12))
     out = {
         "regime": cls.regime,
         "v": cls.v_applied,
@@ -372,6 +366,7 @@ def _write_trajectory_csv(
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    _require(args, "output")
     precision = _resolve_precision(args)
     m = _resolve_model(args)
     cfg = _resolve_cfg(args)
@@ -407,7 +402,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_period(args: argparse.Namespace) -> int:
     precision = _resolve_precision(args)
     m = _resolve_model(args)
-    method = _effective(args, ("method",)).get("method", "quad")
+    method = getattr(args, "method", "quad")
     cls = classify_regime(m)
     if cls.regime != REGIME_PERIODIC:
         raise RegimeMismatchError(
@@ -419,7 +414,7 @@ def cmd_period(args: argparse.Namespace) -> int:
     ode_result = None
     if method in ("ode", "both"):
         cfg = _resolve_cfg(args, scheme_default=SCHEME_ADAPTIVE)
-        if "t_max" not in _effective(args, ("t_max",)):
+        if not hasattr(args, "t_max"):
             cfg = replace(cfg, t_max=2.5 * scales.ts_bound)
         traj = integrate(m, cfg)
         stag = traj.first_event("stagnation")
@@ -440,8 +435,8 @@ def cmd_period(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _axis(eff: dict, name: str) -> list[float]:
-    rng = eff.get(f"{name}_range")
+def _axis(args: argparse.Namespace, name: str) -> list[float]:
+    rng = getattr(args, f"{name}_range", None)
     if rng is not None:
         flag = f"--{name}-range"
         if len(rng) != 3:
@@ -451,7 +446,7 @@ def _axis(eff: dict, name: str) -> list[float]:
         if steps < 2 or not hi > lo:
             raise InvalidParameterError(f"bad {name} range")
         return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-    return [_finite(float(eff.get(name, 0.0)), f"--{name}")]
+    return [_finite(getattr(args, name, 0.0), f"--{name}")]
 
 
 def _finite(val: float, flag: str) -> float:
@@ -541,38 +536,21 @@ def _write_sweep(path: str, spec: dict, table: dict[str, list]) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     precision = _resolve_precision(args)
-    eff = _effective(
-        args,
-        (
-            "xi",
-            "xi_range",
-            "kappa",
-            "kappa_range",
-            "v_min",
-            "v_max",
-            "v_steps",
-            "outputs",
-            "format",
-            "jobs",
-        ),
-    )
-    if "v_min" not in eff or "v_max" not in eff or "v_steps" not in eff:
-        raise InvalidParameterError("sweep requires --v-min, --v-max and --v-steps")
-    v_min, v_max = _finite(float(eff["v_min"]), "--v-min"), _finite(float(eff["v_max"]), "--v-max")
-    v_steps = int(eff["v_steps"])
+    _require(args, "v_min", "v_max", "v_steps", "output")
+    v_min, v_max, v_steps = _finite(args.v_min, "--v-min"), _finite(args.v_max, "--v-max"), args.v_steps
     if not (v_min < v_max and v_steps >= 2):
         raise InvalidParameterError("sweep requires v_min < v_max and v_steps >= 2")
-    xis = _axis(eff, "xi")
-    kappas = _axis(eff, "kappa")
+    xis = _axis(args, "xi")
+    kappas = _axis(args, "kappa")
     vs = [v_min + (v_max - v_min) * i / (v_steps - 1) for i in range(v_steps)]
     wanted = tuple(
-        col.strip() for col in str(eff.get("outputs", ",".join(_SWEEP_COLUMNS))).split(",")
+        col.strip() for col in getattr(args, "outputs", ",".join(_SWEEP_COLUMNS)).split(",")
     )
     unknown = [c for c in wanted if c not in _SWEEP_COLUMNS]
     if unknown:
         raise InvalidParameterError(f"unknown sweep columns: {', '.join(unknown)}")
-    fmt = eff.get("format", "csv")
-    if int(eff.get("jobs", 1)) < 1:
+    fmt = getattr(args, "format", "csv")
+    if getattr(args, "jobs", 1) < 1:
         raise InvalidParameterError("jobs must be >= 1")
 
     started = time.perf_counter()
@@ -608,16 +586,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_generic(args: argparse.Namespace) -> int:
     precision = _resolve_precision(args)
-    eff = _effective(args, ("mu", "lam", "a", "c1", "c2"))
-    a = float(eff.get("a", 1.0))
+    a = getattr(args, "a", 1.0)
     gm = GenericForcedModel(
-        mu=float(eff.get("mu", 0.0)),
-        lam=float(eff.get("lam", 1.0)),
+        mu=getattr(args, "mu", 0.0),
+        lam=getattr(args, "lam", 1.0),
         f_fn=lambda x, t: x,
         forcing_g=lambda x, t: 1.0 / (2.0 * (a - x) ** 2),
         a=a,
-        c1=float(eff.get("c1", a)),
-        c2=float(eff.get("c2", 1.0 / (2.0 * a * a))),
+        c1=getattr(args, "c1", a),
+        c2=getattr(args, "c2", 1.0 / (2.0 * a * a) if a * a else 0.0),  # the model rejects a = 0
     )
     cfg = _resolve_cfg(args)
     traj, check = integrate_generic(gm, cfg)
@@ -650,8 +627,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config_path = getattr(args, "config", None)
-        args._config_values = _read_config(config_path) if config_path else {}
+        if hasattr(args, "config"):
+            _apply_config(args, args.config)
         return _DISPATCH[args.command](args)
     except ConvexityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -238,6 +238,9 @@ class GenericForcedModel:
     c2: float
 
     def __post_init__(self) -> None:
+        for name in ("mu", "lam", "a", "c1", "c2"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.mu < 0.0:
             raise InvalidParameterError("mu must be nonnegative")
         if self.lam <= 0.0 or self.a <= 0.0:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import pullin_dyn
 from pullin_dyn import (
     IntegratorConfig,
+    InvalidParameterError,
     ModelParams,
     PullInDynError,
     _roots,
@@ -771,11 +772,46 @@ def test_config_key_of_no_subcommand_exits_2(capsys, tmp_path, key):
     assert not out_path.exists()
 
 
-def test_config_keys_are_the_subcommand_flags():
-    # a flag added to a subcommand is also a key a config file may set; --help and --config are not
-    (sub,) = (a for a in cli.build_parser()._actions if a.dest == "command")
-    flags = {a.dest for p in sub.choices.values() for a in p._actions}
-    assert cli._CONFIG_KEYS == flags - {"help", "config"}
+def test_config_values_read_as_their_flags(capsys, tmp_path):
+    # one key of each kind: int, float, choice, 3-value range, string, and the output path
+    out_path = tmp_path / "sweep.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "v_steps = 4\nv_min = 0.1\nv_max = 0.7\nformat = json\nxi_range = 0, 0.5, 2\n"
+        f"outputs = x_s,t_p,regime\noutput = {out_path}\n"
+    )
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 0, err
+    from_file, record = out_path.read_bytes(), _untimed(out)
+    out_path.unlink()
+    code, out, err = run_cli(capsys, "sweep", "--v-steps", "4", "--v-min", "0.1", "--v-max", "0.7", "--format",
+                             "json", "--xi-range", "0", "0.5", "2", "--outputs", "x_s,t_p,regime", "--output",
+                             str(out_path))
+    assert code == 0, err
+    assert out_path.read_bytes() == from_file and _untimed(out) == record
+    assert json.loads(from_file)["spec"]["xi"] == [0.0, 0.5]
+
+
+def test_output_flag_beats_config_output(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"xi = 0\nv = 0.4\nt_max = 1\noutput = {tmp_path / 'file.csv'}\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--output", str(tmp_path / "flag.csv"))
+    assert code == 0, err
+    assert json.loads(out)["outputs"]["path"] == str(tmp_path / "flag.csv")
+    assert (tmp_path / "flag.csv").exists() and not (tmp_path / "file.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--xi", "0", "--v", "0.4", "--t-max", "1"],
+        ["sweep", "--xi", "0", "--v-min", "0.1", "--v-max", "0.4", "--v-steps", "2"],
+    ],
+)
+def test_missing_output_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--output" in err and "--v-min" not in err  # only the missing flags are named
 
 
 def test_config_key_of_another_subcommand_is_allowed(capsys, tmp_path):
@@ -785,6 +821,33 @@ def test_config_key_of_another_subcommand_is_allowed(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--output", str(tmp_path / "traj.csv"))
     assert code == 0 and json.loads(out)["params"]["t_max"] == 1.0
     assert run_json(capsys, "classify", "--config", str(cfg))["regime"] == "periodic"
+
+
+@pytest.mark.parametrize("eps_v", [-1.0, math.nan])
+def test_classify_rejects_negative_or_nan_eps_v(capsys, eps_v):
+    # at v = v_dpi a negative band classified touch-down with a_sq = 0, and tc_bound divided by zero
+    m = ModelParams(xi=0.0, v=0.5)
+    with pytest.raises(InvalidParameterError, match="eps_v"):
+        classify_regime(m, eps_v=eps_v)
+    code, out, err = run_cli(capsys, "classify", "--xi", "0", "--v", "0.5", "--eps-v", str(eps_v))
+    assert code == 2 and out == ""
+    assert "eps_v" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--a", "nan"], "a must be finite"),
+        (["--mu", "nan", "--lam", "4"], "mu must be finite"),
+        (["--lam", "inf"], "lam must be finite"),
+        (["--c1", "inf"], "c1 must be finite"),
+        (["--a", "0"], "a must be positive"),  # the default c2 = 1/(2 a^2) divided by zero
+    ],
+)
+def test_generic_rejects_non_finite_or_zero_parameters(capsys, argv, message):
+    code, out, err = run_cli(capsys, "generic", *argv, "--t-max", "1")
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_missing_config_file_exits_2(capsys, tmp_path):

@@ -567,6 +567,14 @@ def test_generic_bound_claims_are_validated():
         integrate_generic(bad, IntegratorConfig(dt=1e-3, t_max=2.0))
 
 
+@pytest.mark.parametrize("name", ["mu", "lam", "a", "c1", "c2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_generic_model_rejects_non_finite_parameters(name, value):
+    # NaN passed every < and <= check: --a nan printed a NaN margin, --lam inf failed in the sampling
+    with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
+        GenericForcedModel(**{**vars(make_generic(lam=4.0)), name: value})
+
+
 def test_generic_model_that_does_not_broadcast_is_rejected_at_once():
     scalar_only = GenericForcedModel(
         mu=1.0, lam=4.0, f_fn=lambda x, t: math.sin(x), forcing_g=lambda x, t: 1.0, a=1.0, c1=1.0, c2=1.0
