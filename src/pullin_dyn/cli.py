@@ -341,9 +341,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def _write_trajectory_csv(
     path: str, traj: Trajectory, m: ModelParams, cfg: IntegratorConfig, precision: int
 ) -> None:
-    # Rows are formatted a column chunk at a time with one line template;
-    # "%.{p}g" % x is format(x, ".{p}g"), so the text is that of fmt_float,
-    # and no formatted float needs csv quoting. Chunks bound the text held.
+    # Each chunk of rows is one % call on the repeated line template; "%.{p}g" % x is format(x, ".{p}g"),
+    # so the text is that of fmt_float and needs no csv quoting. Chunks bound the text and stacked copy held.
     with_h = m.mu == 0.0
     columns = [traj.t, traj.x, traj.v] + ([energy_series(traj, m)] if with_h else [])
     line = ",".join([f"%.{precision}g"] * len(columns)) + "\n"
@@ -356,12 +355,10 @@ def _write_trajectory_csv(
         )
         fh.write(",".join(["t", "x", "v"] + (["H"] if with_h else [])) + "\n")
         for i in range(0, len(traj), _CSV_CHUNK_ROWS):
-            rows = zip(*(c[i : i + _CSV_CHUNK_ROWS].tolist() for c in columns))
-            fh.write("".join([line % row for row in rows]))
+            cells = np.column_stack([c[i : i + _CSV_CHUNK_ROWS] for c in columns]).ravel().tolist()
+            fh.write((line * (len(cells) // len(columns))) % tuple(cells))
         for ev in traj.events:
-            fh.write(
-                f"# event,{ev.kind},{fmt_float(ev.t, precision)},{fmt_float(ev.x, precision)}\n"
-            )
+            fh.write(f"# event,{ev.kind},{fmt_float(ev.t, precision)},{fmt_float(ev.x, precision)}\n")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -587,6 +584,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_generic(args: argparse.Namespace) -> int:
     precision = _resolve_precision(args)
     a = getattr(args, "a", 1.0)
+    c2 = getattr(args, "c2", 1.0 / (2.0 * a * a) if a * a else 0.0)  # the model rejects a = 0
+    if not hasattr(args, "c2") and 0.0 < a < math.inf and not 0.0 < c2 < math.inf:
+        raise InvalidParameterError(f"--a={a!r} is out of range: the default bound 1/(2 a^2) under- or overflows")
     gm = GenericForcedModel(
         mu=getattr(args, "mu", 0.0),
         lam=getattr(args, "lam", 1.0),
@@ -594,7 +594,7 @@ def cmd_generic(args: argparse.Namespace) -> int:
         forcing_g=lambda x, t: 1.0 / (2.0 * (a - x) ** 2),
         a=a,
         c1=getattr(args, "c1", a),
-        c2=getattr(args, "c2", 1.0 / (2.0 * a * a) if a * a else 0.0),  # the model rejects a = 0
+        c2=c2,
     )
     cfg = _resolve_cfg(args)
     traj, check = integrate_generic(gm, cfg)

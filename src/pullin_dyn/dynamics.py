@@ -35,6 +35,7 @@ position lies beyond the contact surface, the critical run ends at touch-down.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -74,8 +75,8 @@ TERMINATED_TOUCHDOWN = "touchdown"
 # Width of the contact layer (relative to the contact surface) inside which
 # fixed steps are halved and energy diagnostics are not meaningful.
 _CONTACT_ZONE = 1e-3
-_MAX_STEPS = 10**7  # fixed steps a run may take; each stored step holds three floats
-_MAX_SAMPLES = 10**6  # samples an adaptive run may keep, checked at every solver step
+_MAX_STEPS = 10**7  # fixed steps a run may take; each kept step stores 24 B (t, x, v as doubles)
+_MAX_SAMPLES = 10**6  # samples an adaptive run may keep (24 B each), checked at every solver step
 _CRITICAL_STEP = 1e-2  # RK4 step of integrate_critical, independent of the sample spacing
 _DT_MIN = 1e-12  # floor of the fixed step halved near contact
 _ORIGIN_EPSILON = 1e-6  # displacement band of undamped rest-start runs treated as an origin pass
@@ -309,12 +310,10 @@ def _rk4_knots(f: Callable[[float], float], t: float, y: float, t_end: float, y_
 
 
 class _Collector:
-    """Accumulates samples, events and the termination cause; t must increase."""
+    """Accumulates samples as packed doubles, events and the termination cause; t must increase."""
 
     def __init__(self) -> None:
-        self.t: list[float] = []
-        self.x: list[float] = []
-        self.v: list[float] = []
+        self.t, self.x, self.v = array("d"), array("d"), array("d")
         self.events: list[Event] = []
         self.terminated_by = TERMINATED_HORIZON
 
@@ -329,15 +328,13 @@ class _Collector:
 
     def add(self, t: float, x: float, v: float) -> None:
         if self.t and t <= self.t[-1]:
-            raise IntegratorFailureError(
-                f"samples not strictly increasing in t at t={t}"
-            )
+            raise IntegratorFailureError(f"samples not strictly increasing in t at t={t}")
         self.t.append(t)
         self.x.append(x)
         self.v.append(v)
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return np.asarray(self.t), np.asarray(self.x), np.asarray(self.v)
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:  # views, no copy: append no more
+        return np.frombuffer(self.t), np.frombuffer(self.x), np.frombuffer(self.v)
 
 
 def _turn(col: _Collector, t: float, t_new: float, v: float, v_at: Callable, x_at: Callable, xtol: float,

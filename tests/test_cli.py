@@ -189,8 +189,8 @@ def _reference_trajectory_csv(traj, m, cfg, precision):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("precision", [6, 12, 17])
-@pytest.mark.parametrize("mu", [0.0, 0.3])
+@pytest.mark.parametrize("precision", [3, 6, 12, 17])
+@pytest.mark.parametrize("mu", [0.0, 0.2, 0.3])
 def test_simulate_csv_matches_per_cell_reference(capsys, tmp_path, precision, mu):
     m = ModelParams(xi=0.3, v=0.35, kappa=0.5, mu=mu)
     cfg = IntegratorConfig(dt=1e-3, t_max=9.5)
@@ -848,6 +848,16 @@ def test_generic_rejects_non_finite_or_zero_parameters(capsys, argv, message):
     code, out, err = run_cli(capsys, "generic", *argv, "--t-max", "1")
     assert code == 2 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("a", ["1e-200", "1e200", "1e-160"])
+def test_generic_default_bound_out_of_range_names_a(capsys, a):
+    # the default c2 = 1/(2 a^2) underflows to 0 or overflows to inf; the
+    # user gave neither c1 nor c2, so the message names a alone
+    code, out, err = run_cli(capsys, "generic", "--a", a, "--t-max", "1")
+    assert code == 2 and out == ""
+    assert "--a=" in err
+    assert "c1" not in err and "c2" not in err
 
 
 def test_missing_config_file_exits_2(capsys, tmp_path):

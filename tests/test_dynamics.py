@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -696,6 +697,30 @@ def test_adaptive_sample_budget_is_checked_at_every_step(monkeypatch, params, x0
     # a run inside the budget is unaffected
     traj = integrate(ModelParams(**params), IntegratorConfig(scheme="adaptive", t_max=10.0), x0=x0)
     assert len(traj) <= 500 and traj.t[-1] == 10.0
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [IntegratorConfig(dt=1e-4, t_max=4.0),
+     IntegratorConfig(scheme="adaptive", rel_tol=1e-13, abs_tol=1e-15, t_max=200.0)],
+    ids=["symplectic", "adaptive"],
+)
+def test_integrate_keeps_samples_packed(cfg):
+    # 24 B of packed doubles per sample, viewed by numpy without a copy, peak at
+    # about 50 B with the energy temporaries; boxed floats in lists take about 147 B
+    m = ModelParams(xi=0.3, v=0.4)
+    integrate(m, IntegratorConfig(scheme=cfg.scheme, t_max=0.5))  # warm the code paths
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = integrate(m, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(traj) >= (40000 if cfg.scheme == "symplectic" else 20000)
+    assert peak <= 80 * len(traj)
+    for arr in (traj.t, traj.x, traj.v):
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous and not arr.flags.writeable
 
 
 def test_initial_state_at_contact_trigger_rejected():
