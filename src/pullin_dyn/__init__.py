@@ -1,9 +1,9 @@
 """Pull-in analysis and dynamics of an undamped electrostatic actuator.
 
 The package characterizes the step response of a one-degree-of-freedom
-parallel-plate actuator with linear, cubic, or general elastic restoring
-forces: pull-in thresholds, regime classification, trajectory integration
-with event detection, and time scales with their analytic bounds.
+parallel-plate actuator with linear or cubic elastic restoring forces:
+pull-in thresholds, regime classification, trajectory integration with
+event detection, and time scales with their analytic bounds.
 """
 
 from .analysis import (
@@ -63,7 +63,6 @@ from .errors import (
 )
 from .model import (
     ConvexityReport,
-    ElasticPotential,
     ModelParams,
     PhaseState,
     PhysicalParams,

@@ -18,11 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._roots import convex_roots
-from .errors import (
-    InvalidParameterError,
-    SubcriticalError,
-    SupercriticalError,
-)
+from .errors import InvalidParameterError, SupercriticalError
 from .model import (
     ModelParams,
     deflate,
@@ -156,8 +152,7 @@ def pullin(xi: float, kappa: float = 0.0) -> PullInResult:
     Depends on (xi, kappa) only, so each pair is solved once and cached.
     """
     if kappa == 0.0:
-        if xi < 0.0:
-            raise InvalidParameterError("xi must be nonnegative")
+        ModelParams(xi=xi)  # rejects a negative, non-finite or overflowing xi
         xs = xi + 1.0
         return PullInResult(
             v_dpi=0.5 * xs**1.5, x_dpi=0.5 * xs, x0=0.5 * xs, kappa=0.0, xi=xi
@@ -306,30 +301,3 @@ def pullin_sensitivity(xi: float, kappa: float) -> tuple[float, float]:
     d_v = 0.5 * math.sqrt(xs / h0) * (0.5 * (xs - x0) * x0**3)
     return d_x0, d_v
 
-
-# re-exported for callers needing the supercritical counterpart explicitly
-__all__ = [
-    "FirstIntegralFactorization",
-    "PullInResult",
-    "RegimeClassification",
-    "REGIME_PERIODIC",
-    "REGIME_CRITICAL",
-    "REGIME_TOUCHDOWN",
-    "REGIME_CONTACT",
-    "g_of_x",
-    "g_prime_of_x",
-    "linear_factorization",
-    "stagnation_linear",
-    "pullin_linear",
-    "cubic_min_point",
-    "cubic_pullin",
-    "pullin",
-    "cubic_stagnation",
-    "stagnation",
-    "cubic_factorization",
-    "classify_regime",
-    "stagnation_sensitivities",
-    "pullin_sensitivity",
-    "SubcriticalError",
-    "SupercriticalError",
-]

@@ -54,7 +54,7 @@ from .errors import (
     QuadratureFailureError,
     RegimeMismatchError,
 )
-from .model import ModelParams, PhysicalParams, check_convexity, normalize_physical
+from .model import ModelParams, PhysicalParams, in_statics_range, normalize_physical
 from .quadrature import _cap_error, contact_times, period_by_quadrature, stagnation_times
 
 EXIT_OK = 0
@@ -67,6 +67,7 @@ DEFAULT_PRECISION = 12
 _PRECISION_ENV = "PULLIN_DYN_PRECISION"
 
 _PHYS_KEYS = ("mass", "spring_k", "spring_k3", "area", "gap", "voltage", "d0", "eps_r", "eps0")
+_PHYS_FIELD = {"mass": "m", "spring_k": "k", "spring_k3": "k3"}  # the other flags are named as their field
 _NORM_KEYS = tuple(f.name for f in fields(ModelParams))
 _CFG_KEYS = tuple(f.name for f in fields(IntegratorConfig))  # "scheme" first
 _SWEEP_COLUMNS = ("x_s", "t_p", "t_c", "regime", "v_dpi", "x_dpi")
@@ -196,18 +197,7 @@ def _resolve_model(args: argparse.Namespace) -> ModelParams:
         missing = [k for k in ("mass", "spring_k", "area", "gap") if k not in phys]
         if missing:
             raise InvalidParameterError(f"missing physical flags: {', '.join(missing)}")
-        p = PhysicalParams(
-            m=phys["mass"],
-            k=phys["spring_k"],
-            area=phys["area"],
-            gap=phys["gap"],
-            voltage=phys.get("voltage", 0.0),
-            k3=phys.get("spring_k3", 0.0),
-            d0=phys.get("d0", 0.0),
-            eps_r=phys.get("eps_r", 1.0),
-            **({"eps0": phys["eps0"]} if "eps0" in phys else {}),
-        )
-        return normalize_physical(p)
+        return normalize_physical(PhysicalParams(**{_PHYS_FIELD.get(k, k): val for k, val in phys.items()}))
     return ModelParams(**norm)
 
 
@@ -300,15 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_pullin(args: argparse.Namespace) -> int:
     precision = _resolve_precision(args)
     m = _resolve_model(args)
-    res = pullin(m.xi, m.kappa)
-    conv = check_convexity(ModelParams(xi=m.xi, kappa=m.kappa))
+    res = pullin(m.xi, m.kappa)  # raises ConvexityError for a non-convex kappa
     _emit_json(
         {
             "v_dpi": res.v_dpi,
             "x_dpi": res.x_dpi,
             "xi": res.xi,
             "kappa": res.kappa,
-            "convexity_ok": conv.ok,
+            "convexity_ok": True,
         },
         precision,
     )
@@ -475,7 +464,7 @@ def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: 
 
     grid = [(xi, kappa, v) for xi in xis for kappa in kappas for v in vs]
     pairs = {(xi, kappa): pull(xi, kappa, 0.0) for xi in xis for kappa in kappas}
-    pulls = [pairs[xi, kappa] if math.isfinite(v) and v >= 0.0 else pull(xi, kappa, v) for xi, kappa, v in grid]
+    pulls = [pairs[xi, kappa] if in_statics_range(v) else pull(xi, kappa, v) for xi, kappa, v in grid]
     error = [p if isinstance(p, str) else None for p in pulls]
     ok = [i for i, e in enumerate(error) if e is None]
     xi, kappa, v, x0, v_dpi, x_dpi = np.array(

@@ -773,9 +773,9 @@ _BOUND_SLACK = 1e-9
 
 
 def _validate_generic_bounds(gm: GenericForcedModel, t_max: float) -> None:
-    # Sample the claimed sup/inf bounds on a dense grid; reject models whose
-    # constants are violated by more than the slack.
-    xs = np.linspace(0.0, gm.a - 1e-6, _BOUND_GRID)
+    # Sample the claimed sup/inf bounds on a dense grid inside [0, a); reject
+    # models whose constants are violated by more than the slack.
+    xs = np.linspace(0.0, max(gm.a - 1e-6, 0.5 * gm.a), _BOUND_GRID)
     ts = np.linspace(0.0, t_max, _BOUND_GRID)
     xg, tg = np.meshgrid(xs, ts, indexing="ij")
     try:

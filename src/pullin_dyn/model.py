@@ -22,6 +22,15 @@ VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
 # else a negative displacement is treated as an integrator bug, not noise.
 NEGATIVE_X_CLAMP = 1e-12
 
+# The statics form (xi+1)^3 (v_dpi^2 = (xi+1)^3/4 at kappa = 0) and v^2, which
+# overflow a little above 1e102 and 1e154.
+STATICS_MAX = 1e100
+
+
+def in_statics_range(val: float) -> bool:
+    """Whether xi or v lies in [0, STATICS_MAX], where the statics stay finite (NaN does not)."""
+    return 0.0 <= val <= STATICS_MAX
+
 
 def convexity_bound(xi: float) -> float:
     """Supremum of cubic stiffness values keeping the first-integral residual strictly convex."""
@@ -49,7 +58,7 @@ class PhysicalParams:
     k: float
     area: float
     gap: float
-    voltage: float
+    voltage: float = 0.0
     k3: float = 0.0
     d0: float = 0.0
     eps_r: float = 1.0
@@ -85,6 +94,8 @@ class ModelParams:
             val = getattr(self, name)
             if not (math.isfinite(val) and val >= 0.0):
                 raise InvalidParameterError(f"{name} must be finite and nonnegative")
+            if name in ("xi", "v") and not in_statics_range(val):
+                raise InvalidParameterError(f"{name}={val!r} is above {STATICS_MAX:g}, where the statics overflow")
 
     @property
     def x_singular(self) -> float:
@@ -123,40 +134,12 @@ class PhaseState:
 
 
 @dataclass(frozen=True)
-class ElasticPotential:
-    """Normalized elastic potential density Phi with its derivative.
-
-    Phi(0) = 0 and Phi >= 0 on the travel range.
-    """
-
-    phi: Callable[[float], float]
-    phi_prime: Callable[[float], float]
-
-    def __post_init__(self) -> None:
-        if abs(self.phi(0.0)) > 0.0:
-            raise InvalidParameterError("elastic potential must vanish at x=0")
-
-    @classmethod
-    def linear(cls) -> "ElasticPotential":
-        return cls(phi=lambda x: 0.5 * x * x, phi_prime=lambda x: x)
-
-    @classmethod
-    def cubic(cls, kappa: float) -> "ElasticPotential":
-        if kappa < 0.0:
-            raise InvalidParameterError("kappa must be nonnegative")
-        return cls(
-            phi=lambda x: 0.5 * x * x + 0.25 * kappa * x**4,
-            phi_prime=lambda x: x + kappa * x**3,
-        )
-
-
-@dataclass(frozen=True)
 class ConvexityReport:
     """Outcome of a convexity diagnostic (never raised as an error)."""
 
     ok: bool
     margin: float
-    bound: float | None
+    bound: float
     method: str
 
 
@@ -166,9 +149,15 @@ def normalize_physical(p: PhysicalParams) -> ModelParams:
     Displacement is scaled by the gap, time by sqrt(k/m), and the voltage
     enters through v^2 = eps0*area*voltage^2 / (k*gap^3).
     """
-    xi = p.d0 / (p.gap * p.eps_r)
-    v = math.sqrt(p.eps0 * p.area * p.voltage**2 / (p.k * p.gap**3))
-    kappa = p.k3 * p.gap**2 / p.k
+    try:
+        xi = p.d0 / (p.gap * p.eps_r)
+        v = math.sqrt(p.eps0 * p.area * p.voltage**2 / (p.k * p.gap**3))
+        kappa = p.k3 * p.gap**2 / p.k
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise InvalidParameterError(f"the normalized parameters under- or overflow ({exc})") from None
+    for name, val, given in (("xi", xi, p.d0), ("v", v, p.voltage), ("kappa", kappa, p.k3)):
+        if not math.isfinite(val) or val == 0.0 < given:
+            raise InvalidParameterError(f"normalized {name}={val!r} under- or overflows")
     return ModelParams(xi=xi, v=v, kappa=kappa, mu=0.0)
 
 
@@ -260,42 +249,8 @@ def first_integral_rhs(x, m: ModelParams):
     return x / (xs - x) * g_of_x(x, m.xi, m.v, m.kappa)
 
 
-# Psi-grid convexity check parameters: dense uniform sampling with a strictly
-# positive threshold on second divided differences.
-_PSI_GRID_POINTS = 10_001
-_PSI_EDGE = 1e-9
-_PSI_THRESHOLD = 1e-12
-
-
-def check_convexity(
-    params_or_potential: ModelParams | ElasticPotential,
-    xi: float | None = None,
-    v: float = 0.0,
-) -> ConvexityReport:
-    """Diagnose strict convexity of the first-integral residual.
-
-    For cubic parameters the closed-form criterion kappa < 16/(3(xi+1)^2) is
-    used and the margin is the distance to the bound. For a general elastic
-    potential, Psi(x) = v^2/(xi+1) - 2(xi+1-x)Phi(x)/x is sampled on a dense
-    grid of (0, xi+1) and the report passes iff all second divided differences
-    exceed a strictly positive threshold; the margin is their minimum. The
-    curvature of Psi does not depend on v (it only shifts Psi), so v may be
-    left at 0.
-    """
-    if isinstance(params_or_potential, ModelParams):
-        m = params_or_potential
-        bound = convexity_bound(m.xi)
-        margin = bound - m.kappa
-        return ConvexityReport(ok=margin > 0.0, margin=margin, bound=bound, method="closed-form")
-
-    pot = params_or_potential
-    if xi is None:
-        raise InvalidParameterError("xi is required for a general-potential convexity check")
-    xs = xi + 1.0
-    grid = np.linspace(_PSI_EDGE, xs - _PSI_EDGE, _PSI_GRID_POINTS)
-    phi_vals = np.array([pot.phi(float(x)) for x in grid])
-    psi = v * v / xs - 2.0 * (xs - grid) * phi_vals / grid
-    h = grid[1] - grid[0]
-    second = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / (2.0 * h * h)
-    margin = float(second.min())
-    return ConvexityReport(ok=margin > _PSI_THRESHOLD, margin=margin, bound=None, method="grid")
+def check_convexity(m: ModelParams) -> ConvexityReport:
+    """Strict convexity of the first-integral residual: kappa < convexity_bound(xi), with the margin to it."""
+    bound = convexity_bound(m.xi)
+    margin = bound - m.kappa
+    return ConvexityReport(ok=margin > 0.0, margin=margin, bound=bound, method="closed-form")

@@ -81,6 +81,41 @@ def test_pullin_physical_flags_route_through_normalization(capsys):
     assert out["kappa"] == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pullin", "--xi", "1e210"],
+        ["classify", "--xi", "1e160", "--v", "1"],
+        ["simulate", "--xi", "1e250", "--v", "0.1", "--t-max", "1"],
+        ["classify", "--xi", "0", "--v", "1e160"],
+        ["pullin", "--mass", "1", "--spring-k", "1", "--area", "1", "--gap", "1e-200", "--voltage", "1"],
+    ],
+)
+def test_overflowing_statics_exit_2(capsys, tmp_path, argv):
+    # at each point a power that the statics or the SI normalization form
+    # would overflow, or a divisor would underflow to 0
+    if argv[0] == "simulate":
+        argv = argv + ["--output", str(tmp_path / "traj.csv")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflow" in err
+
+
+def test_sweep_overflowing_statics_fill_error_cells(capsys, tmp_path):
+    path = tmp_path / "s.csv"
+    run_json(capsys, "sweep", "--xi", "1e300", "--v-min", "0.1", "--v-max", "0.5", "--v-steps", "2",
+             "--output", str(path))
+    rows = list(csv.DictReader(ln for ln in path.read_text().splitlines() if not ln.startswith("#")))
+    assert len(rows) == 2 and all("xi=1e+300 is above" in row["error"] for row in rows)
+    run_json(capsys, "sweep", "--xi", "0", "--v-min", "0.1", "--v-max", "1e200", "--v-steps", "3",
+             "--output", str(path))
+    rows = list(csv.DictReader(ln for ln in path.read_text().splitlines() if not ln.startswith("#")))
+    assert rows[0]["regime"] == "periodic" and rows[0]["error"] == ""
+    for row in rows[1:]:  # their a_sq would overflow to inf
+        assert row["t_c"] == "" and "InvalidParameterError: v=" in row["error"]
+
+
 def test_mixing_flag_families_exits_2(capsys):
     code, _, err = run_cli(capsys, "pullin", "--xi", "0", "--mass", "1e-9")
     assert code == 2
@@ -848,6 +883,12 @@ def test_generic_rejects_non_finite_or_zero_parameters(capsys, argv, message):
     code, out, err = run_cli(capsys, "generic", *argv, "--t-max", "1")
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_generic_tiny_a_samples_inside_the_travel(capsys):
+    # a grid up to a - 1e-6 would sample x < 0 here, where |f| > c1 = a
+    out = run_json(capsys, "generic", "--a", "1e-7", "--t-max", "1")
+    assert out["guaranteed"] is True
 
 
 @pytest.mark.parametrize("a", ["1e-200", "1e200", "1e-160"])

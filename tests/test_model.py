@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from pullin_dyn import (
     ConvexityReport,
-    ElasticPotential,
     IntegratorConfig,
     InvalidParameterError,
     ModelParams,
@@ -21,6 +20,7 @@ from pullin_dyn import (
     hamiltonian,
     integrate,
     normalize_physical,
+    pullin,
 )
 from pullin_dyn.model import make_force
 
@@ -51,6 +51,23 @@ def test_normalize_rejects_nonpositive_core_parameters():
         PhysicalParams(m=1.0, k=-1.0, area=1.0, gap=1.0, voltage=1.0)
     with pytest.raises(InvalidParameterError):
         PhysicalParams(m=1.0, k=1.0, area=1.0, gap=1.0, voltage=1.0, eps_r=0.5)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"gap": 1e-200},  # gap^3 underflows to 0
+        {"gap": 1e200, "d0": 1.0},  # gap^3 overflows
+        {"gap": 1e-100, "voltage": 1e200},  # voltage^2 overflows
+        {"eps_r": 1e200, "d0": 1e-200},  # xi underflows to 0
+        {"area": 1e-320},  # v underflows to 0
+        {"k": 1e-300, "k3": 1e300},  # kappa overflows to inf
+    ],
+)
+def test_normalize_rejects_under_and_overflow(kw):
+    kw = {"m": 1.0, "k": 1.0, "area": 1.0, "gap": 1.0, "voltage": 1.0, **kw}
+    with pytest.raises(InvalidParameterError, match="overflow"):
+        normalize_physical(PhysicalParams(**kw))
 
 
 @given(st.floats(1e-3, 1e3), st.floats(1e-6, 100.0))
@@ -154,34 +171,19 @@ def test_model_params_validation():
         ModelParams(v=-1.0)
     with pytest.raises(InvalidParameterError):
         ModelParams(mu=float("nan"))
+    # the statics form (xi + 1)^3 and v^2, so xi and v stop at 1e100
+    assert ModelParams(xi=1e100, v=1e100).xi == 1e100
+    for kw in ({"xi": 1e101}, {"v": 1e160}):
+        with pytest.raises(InvalidParameterError, match="statics overflow"):
+            ModelParams(**kw)
+    with pytest.raises(InvalidParameterError):
+        pullin(1e210)
 
 
 def test_check_convexity_closed_form():
     rep = check_convexity(ModelParams(xi=0.0, kappa=0.0))
+    assert isinstance(rep, ConvexityReport)
     assert rep.ok and rep.method == "closed-form"
     assert rep.margin == pytest.approx(16.0 / 3.0, rel=1e-15)
     assert not check_convexity(ModelParams(xi=0.0, kappa=5.4)).ok
     assert convexity_bound(0.0) == pytest.approx(16.0 / 3.0, rel=1e-15)
-
-
-def test_check_convexity_grid_matches_closed_form():
-    # quadratic elastic potential: residual is convex for any voltage
-    rep = check_convexity(ElasticPotential.linear(), xi=0.0, v=0.4)
-    assert isinstance(rep, ConvexityReport)
-    assert rep.ok and rep.method == "grid"
-    assert rep.margin == pytest.approx(1.0, rel=1e-6)  # half the curvature of Psi
-    # cubic stiffness beyond the closed-form bound fails the grid check too
-    bad = check_convexity(ElasticPotential.cubic(10.0), xi=0.0)
-    assert not bad.ok
-    good = check_convexity(ElasticPotential.cubic(1.0), xi=0.0)
-    assert good.ok
-
-
-def test_elastic_potential_constructors():
-    lin = ElasticPotential.linear()
-    assert lin.phi(0.5) == pytest.approx(0.125)
-    cub = ElasticPotential.cubic(2.0)
-    assert cub.phi(0.5) == pytest.approx(0.125 + 0.5 * 0.0625)
-    assert cub.phi_prime(0.5) == pytest.approx(0.5 + 2.0 * 0.125)
-    with pytest.raises(InvalidParameterError):
-        ElasticPotential(phi=lambda x: x + 1.0, phi_prime=lambda x: 1.0)
