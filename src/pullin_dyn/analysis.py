@@ -118,12 +118,15 @@ def _g_roots(xi, v, kappa, x0, a_sq) -> tuple[np.ndarray, np.ndarray]:
             return a_sq + h * h * q_x, h * (2.0 * q_x + h * deflate(quot, x)[1])
 
         roots = convex_roots(g_dg, np.clip(start, lo, hi), lo, hi, rising)
-        # near 0, where g ~ v^2/(xi+1) is tiny beside a_sq, the plain coefficients
-        # of g round less: one more Newton step on them
+        # near 0, where g ~ v^2/(xi+1) is tiny beside a_sq, the plain coefficients of g round less: one
+        # more Newton step on them. The zeros of the convex g's tangent at 0 and chord to x0 bracket x_s;
+        # a root outside them (at huge xi the factored g is noise there) steps from the tangent's zero.
         near0 = ((xi + 1.0) * roots < -a_sq).nonzero()[0]
         if near0.size:
-            r = roots[near0]
-            quot, g = deflate(g_coeffs(xi[near0], v[near0], kappa[near0]), r)
+            coeffs = g_coeffs(xi[near0], v[near0], kappa[near0])
+            low, high = coeffs[4] / -coeffs[3], coeffs[4] * x0[near0] / (coeffs[4] - a_sq[near0])
+            r = np.where((low <= roots[near0]) & (roots[near0] <= high), roots[near0], low)
+            quot, g = deflate(coeffs, r)
             roots[near0] = r - g / deflate(quot, r)[1]
         x_s[at], x2[at] = roots[: at.size], roots[at.size :]
     return x_s, x2

@@ -14,6 +14,8 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
+import itertools
 import json
 import math
 import os
@@ -449,9 +451,10 @@ def _cell(exc: PullInDynError) -> str:
 def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: tuple[str, ...]) -> dict[str, list]:
     """The sweep table as columns, computed in one pass over arrays of rows.
 
-    The rows of an (xi, kappa) pair share its cached pull-in point. An
-    invalid input, a non-convex pair or a failed quadrature fills the error
-    cell of its own rows only. A cell with no value is None.
+    The rows of an (xi, kappa) pair share its cached pull-in point, and the
+    xi, kappa and error columns repeat each pair's cell. An invalid input, a
+    non-convex pair or a failed quadrature fills the error cell of its own
+    rows only. A cell with no value is None.
     """
 
     def pull(xi: float, kappa: float, v: float) -> PullInResult | str:
@@ -462,23 +465,29 @@ def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: 
         except PullInDynError as exc:
             return _cell(exc)
 
-    grid = [(xi, kappa, v) for xi in xis for kappa in kappas for v in vs]
-    pairs = {(xi, kappa): pull(xi, kappa, 0.0) for xi in xis for kappa in kappas}
-    pulls = [pairs[xi, kappa] if in_statics_range(v) else pull(xi, kappa, v) for xi, kappa, v in grid]
-    error = [p if isinstance(p, str) else None for p in pulls]
-    ok = [i for i, e in enumerate(error) if e is None]
-    xi, kappa, v, x0, v_dpi, x_dpi = np.array(
-        [grid[i] + (pulls[i].x0, pulls[i].v_dpi, pulls[i].x_dpi) for i in ok], dtype=float
-    ).reshape(-1, 6).T
+    n_v, pairs = len(vs), [(xi, kappa) for xi in xis for kappa in kappas]
+    pulls = [pull(xi, kappa, 0.0) for xi, kappa in pairs]
+    per_pair = [(xi, kappa, p, *(np.nan,) * 3) if isinstance(p, str) else (xi, kappa, None, p.x0, p.v_dpi, p.x_dpi)
+                for (xi, kappa), p in zip(pairs, pulls)]
+    xi_col, kappa_col, error, *pulled = (list(itertools.chain(*([c] * n_v for c in col))) for col in zip(*per_pair))
+    v_col = vs * len(pairs)
+    for j in [j for j, v in enumerate(vs) if not in_statics_range(v)]:
+        error[j::n_v] = [pull(*pair, vs[j]) for pair in pairs]  # an invalid v: the row's own input error
+    ok = np.array([e is None for e in error]).nonzero()[0]
+    xi, kappa, v, x0, v_dpi, x_dpi = np.array([xi_col, kappa_col, v_col, *pulled])[:, ok]
     regime, x_s, x2, a_sq = classify_rows(xi, kappa, v, x0, v_dpi)
     t_p, t_c = np.full((2, len(ok)), np.nan)
+
+    def fail(j: int, last: float) -> None:  # row ok[j]'s quadrature was capped
+        error[ok[j]] = _cell(_cap_error(xi_col[ok[j]], kappa_col[ok[j]], v_col[ok[j]], last))
+
     at = (regime == REGIME_PERIODIC).nonzero()[0]
     if "t_p" in wanted and at.size:
         q, bad = factor_rows(xi[at], v[at], kappa[at], x_s[at], x2[at])
         t_s, _, err_est = stagnation_times(xi[at], x_s[at], x2[at], *q)
         t_p[at] = 2.0 * t_s
         for j in np.isnan(t_s).nonzero()[0]:
-            error[ok[at[j]]] = _cell(_cap_error(*grid[ok[at[j]]], err_est[j]))
+            fail(at[j], err_est[j])
         for j, exc in bad.items():  # raised before the quadrature, so it wins
             error[ok[at[j]]] = _cell(exc)
         t_p[at[list(bad)]] = np.nan
@@ -486,38 +495,56 @@ def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: 
     if "t_c" in wanted and at.size:
         t_c[at], _, err_est = contact_times(xi[at], kappa[at], x0[at], a_sq[at])
         for j in np.isnan(t_c[at]).nonzero()[0]:
-            error[ok[at[j]]] = _cell(_cap_error(*grid[ok[at[j]]], err_est[j]))
+            fail(at[j], err_est[j])
     x_s[regime == REGIME_CONTACT] = np.nan  # the electrode never gets there
 
-    cells = np.full((len(_SWEEP_COLUMNS), len(grid)), None, dtype=object)
-    for col, values in zip(cells, (x_s, t_p, t_c, regime, v_dpi, x_dpi)):
-        col[ok] = values
-    columns = {k: [None if c != c else c for c in col] for k, col in zip(_SWEEP_COLUMNS, cells.tolist())}
-    return dict(zip(("xi", "kappa", "v"), map(list, zip(*grid))), **columns, error=error)
+    values = np.full((6, len(error)), np.nan)
+    values[:, ok] = x_s, t_p, t_c, v_dpi, v_dpi, x_dpi  # row 3 holds the regime, set below
+    cells = values.astype(object)
+    cells[np.isnan(values)] = None  # NaN is no value
+    cells[3, ok] = regime
+    return dict(xi=xi_col, kappa=kappa_col, v=v_col, **dict(zip(_SWEEP_COLUMNS, cells.tolist())), error=error)
 
 
 def _write_sweep(path: str, spec: dict, table: dict[str, list]) -> None:
-    # Each column is rounded once with one template: "%.{p}g" % x is
-    # format(x, ".{p}g"), so a CSV cell reads as fmt_float's text and a JSON
-    # number as _round_floats's; csv.writer still quotes error cells and
-    # writes None as an empty cell.
-    precision = spec["precision"]
+    # Cells are floats, strings or None, and each distinct cell's text is made once: a float's is "%.{p}g" % x
+    # (fmt_float's text), in JSON the repr of that rounded float or JSON's name for it, as json.dumps writes
+    # _round_floats's value; other cells' as json.dumps or csv.writer write them. One % call on the row
+    # template, repeated per row, writes all rows; JSON rows take the sorted keys, as json.dumps does.
+    precision, as_json = spec["precision"], spec["format"] == "json"
     columns = ["xi", "kappa", "v", *spec["outputs"], "error"]
-    text, number = f"%.{precision}g", float if spec["format"] == "json" else str
-    cells = [[number(text % c) if isinstance(c, float) else c for c in table[k]] for k in columns]
-    spec_out = _round_floats(spec, precision)
-    if spec["format"] == "json":
-        payload = {"spec": spec_out, "columns": columns, "rows": [dict(zip(columns, row)) for row in zip(*cells)]}
-        # one dumps call: json.dump streams through the pure-Python encoder
-        with open(path, "w") as fh:
-            fh.write(json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# pullin-dyn sweep version={__version__}\n")
-            fh.write(f"# spec {json.dumps(spec_out, sort_keys=True)}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows(zip(*cells))
+    keys = sorted(set(columns)) if as_json else columns
+    text, names = f"%.{precision}g", {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}  # by the float's repr
+
+    def quoted(cell) -> str:  # csv.writer's text for a cell of a row of several (it quotes a lone empty cell)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow((cell, None))
+        return buf.getvalue()[:-2]
+
+    def rounded(values: list) -> list[str]:
+        texts = [text % c for c in values]
+        return [names.get(t, t) for t in map(repr, map(float, texts))] if as_json else texts
+
+    cells = list(itertools.chain(*zip(*(table[k] for k in keys))))  # row by row
+    distinct = dict.fromkeys(cells)
+    floats = [c for c in distinct if isinstance(c, float)]
+    memo = {None: "null" if as_json else "", **dict(zip(floats, rounded(floats)))}
+    memo.update((c, (json.dumps if as_json else quoted)(c)) for c in distinct if c not in memo)
+    texts = list(map(memo.__getitem__, cells))
+    if 0.0 in memo:  # 0.0 and -0.0 are one key but print apart
+        signed = dict(zip((1.0, -1.0), rounded([0.0, -0.0])))
+        for j, col in enumerate(table[k] for k in keys):
+            if 0.0 in col:
+                texts[j :: len(keys)] = [signed[math.copysign(1.0, c)] if c == 0.0 else memo[c] for c in col]
+    n_rows, spec_text = len(table["error"]), json.dumps(_round_floats(spec, precision), sort_keys=True)
+    with open(path, "w", newline=None if as_json else "") as fh:
+        if as_json:
+            rows = ", ".join(["{" + ", ".join(f"{json.dumps(k)}: %s" for k in keys) + "}"] * n_rows) % tuple(texts)
+            fh.write(f'{{"columns": {json.dumps(columns)}, "rows": [{rows}], "spec": {spec_text}}}\n')
+        else:
+            fh.write(f"# pullin-dyn sweep version={__version__}\n# spec {spec_text}\n")
+            csv.writer(fh, lineterminator="\n").writerow(columns)
+            fh.write((",".join(["%s"] * len(keys)) + "\n") * n_rows % tuple(texts))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -526,16 +553,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     v_min, v_max, v_steps = _finite(args.v_min, "--v-min"), _finite(args.v_max, "--v-max"), args.v_steps
     if not (v_min < v_max and v_steps >= 2):
         raise InvalidParameterError("sweep requires v_min < v_max and v_steps >= 2")
-    xis = _axis(args, "xi")
-    kappas = _axis(args, "kappa")
+    xis, kappas = _axis(args, "xi"), _axis(args, "kappa")
     vs = [v_min + (v_max - v_min) * i / (v_steps - 1) for i in range(v_steps)]
-    wanted = tuple(
-        col.strip() for col in getattr(args, "outputs", ",".join(_SWEEP_COLUMNS)).split(",")
-    )
+    wanted = tuple(col.strip() for col in getattr(args, "outputs", ",".join(_SWEEP_COLUMNS)).split(","))
     unknown = [c for c in wanted if c not in _SWEEP_COLUMNS]
     if unknown:
         raise InvalidParameterError(f"unknown sweep columns: {', '.join(unknown)}")
-    fmt = getattr(args, "format", "csv")
     if getattr(args, "jobs", 1) < 1:
         raise InvalidParameterError("jobs must be >= 1")
 
@@ -543,16 +566,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     table = _sweep_rows(xis, kappas, vs, wanted)
     rows_done = time.perf_counter()
 
-    spec = {
-        "xi": xis if len(xis) > 1 else xis[0],
-        "kappa": kappas if len(kappas) > 1 else kappas[0],
-        "v_min": v_min,
-        "v_max": v_max,
-        "v_steps": v_steps,
-        "outputs": list(wanted),
-        "format": fmt,
-        "precision": precision,
-    }
+    spec = {"xi": xis if len(xis) > 1 else xis[0], "kappa": kappas if len(kappas) > 1 else kappas[0],
+            "v_min": v_min, "v_max": v_max, "v_steps": v_steps, "outputs": list(wanted),
+            "format": getattr(args, "format", "csv"), "precision": precision}
     _write_sweep(args.output, spec, table)
 
     stages = {"rows_s": rows_done - started, "write_s": time.perf_counter() - rows_done}

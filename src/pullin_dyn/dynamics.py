@@ -269,8 +269,13 @@ class TouchDownCheck:
 
 
 def energy_series(traj: Trajectory, m: ModelParams) -> np.ndarray:
-    """Total energy at each sample of an actuator trajectory."""
-    return energy(traj.x, traj.v, m)
+    """Total energy at each sample of an actuator trajectory; IntegratorFailureError where it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = energy(traj.x, traj.v, m)
+    bad = np.flatnonzero(~np.isfinite(h))
+    if bad.size:
+        raise IntegratorFailureError(f"energy {float(h[bad[0]])!r} is not finite at t={float(traj.t[bad[0]])!r}")
+    return h
 
 
 def _hermite(t0, y0, d0, t1, y1, d1, tq):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,6 +197,24 @@ def test_classify_regime_band_is_inclusive():
 def test_classify_regime_checks_convexity():
     with pytest.raises(ConvexityError):
         classify_regime(ModelParams(xi=0.0, v=0.4, kappa=6.0))
+
+
+@pytest.mark.parametrize("xi", [1e16, 1e22, 1e50, 1e100])
+@pytest.mark.parametrize("kappa_frac", [0.0, 0.5])
+def test_stagnation_at_huge_xi_matches_mpmath(xi, kappa_frac):
+    # x_s ~ v^2/(xi+1)^2 lies far below what the factored g resolves beside
+    # a_sq ~ -(xi+1)^2/4, so it must come from the plain coefficients
+    kappa = kappa_frac * convexity_bound(xi)
+    cls = classify_regime(ModelParams(xi=xi, v=1.0, kappa=kappa))
+    with mpmath.workdps(40):
+        xs, kap, x = mpmath.mpf(xi) + 1, mpmath.mpf(kappa), mpmath.mpf(0)
+        for _ in range(20):  # g(x) = 0 as x = (v^2/(xi+1)) / ((xi+1-x)(1 + kappa x^2/2)), a contraction
+            x = 1 / xs / ((xs - x) * (1 + kap * x**2 / 2))
+        assert abs(mpmath.mpf(1) / xs - (xs - x) * x * (1 + kap * x**2 / 2)) < mpmath.mpf(10) ** -38 / xs
+        ref = float(x)
+    assert cls.regime == "periodic"
+    assert cls.x_s > 0.0
+    assert cls.x_s == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_pullin_enhancement_inequalities():

@@ -167,6 +167,23 @@ def test_simulate_adaptive_over_sample_budget_exits_4(capsys, tmp_path, monkeypa
     assert not path.exists()
 
 
+def test_simulate_with_overflowing_energy_exits_4(tmp_path):
+    # xi = 0, v = 1e100: the square of the touch-down speed overflows. The run
+    # fails at that sample's t, with one error line, no CSV and no
+    # RuntimeWarning even when warnings are errors.
+    path = tmp_path / "never.csv"
+    src = os.path.dirname(os.path.dirname(pullin_dyn.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "pullin_dyn.cli", "simulate", "--xi", "0", "--v", "1e100",
+         "--t-max", "1", "--output", str(path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith("error: energy inf is not finite at t=") and proc.stderr.count("\n") == 1
+    assert float(proc.stderr.split("t=")[1]) == pytest.approx(4e-196, rel=1e-6)
+    assert not path.exists()
+
+
 def test_simulate_periodic_events_in_footer(capsys, tmp_path):
     path = tmp_path / "traj.csv"
     run_json(
@@ -688,6 +705,33 @@ def test_sweep_writer_rounds_numpy_floats_and_quotes_cells(tmp_path, fmt):
         spec["precision"] = precision
         expected = _reference_sweep_text(spec, rows)
         assert _reference_sweep_text(spec, numpy_rows) == expected
+        for cells in (rows, numpy_rows):
+            cli._write_sweep(str(tmp_path / "out"), spec, {k: [row[k] for row in cells] for k in cells[0]})
+            assert (tmp_path / "out").read_text() == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_writer_keeps_signed_zeros_and_escapes_error_cells(tmp_path, fmt):
+    # 0.0 and -0.0 compare equal but print apart ("0" and "-0", "0.0" and
+    # "-0.0"), in either order in a column, and 0.25 repeats across rows; the
+    # error cell needs CSV quoting and JSON escapes
+    spec = {
+        "xi": 0.5, "kappa": 0.0, "v_min": 0.1, "v_max": 0.25, "v_steps": 2,
+        "outputs": ["x_s", "v_dpi", "regime"], "format": fmt, "precision": 12,
+    }
+    signs = [0.0, -0.0, 0.25, 0.0, 0.25, -0.0]
+    rows = [
+        {"xi": 0.5, "kappa": 0.0, "v": a, "x_s": b, "v_dpi": 0.25, "regime": "periodic", "error": None}
+        for a, b in zip(signs, [-c for c in signs])
+    ] + [
+        {"xi": 0.5, "kappa": -0.0, "v": 0.25, "x_s": None, "v_dpi": None, "regime": None,
+         "error": 'InvalidParameterError: "quoted", back\\slash and \u00e9, then 0.25'}
+    ]
+    numpy_rows = [{k: np.float64(c) if isinstance(c, float) else c for k, c in row.items()} for row in rows]
+    for precision in (3, 12, 17):
+        spec["precision"] = precision
+        expected = _reference_sweep_text(spec, rows)
+        assert ("-0," if fmt == "csv" else "-0.0,") in expected and "\\" in expected
         for cells in (rows, numpy_rows):
             cli._write_sweep(str(tmp_path / "out"), spec, {k: [row[k] for row in cells] for k in cells[0]})
             assert (tmp_path / "out").read_text() == expected

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from pullin_dyn import (
     ModelParams,
     NotApplicableError,
     RegimeMismatchError,
+    Trajectory,
     convexity_bound,
     cubic_min_point,
     cubic_pullin,
@@ -741,3 +743,12 @@ def test_trajectory_states_are_valid_phase_states():
     states = list(traj.states())
     assert len(states) == len(traj)
     assert states[0].x == 0.0 and states[0].v == 0.0
+
+
+def test_energy_series_rejects_non_finite_energy():
+    t = np.array([0.0, 1.0, 2.0])
+    traj = Trajectory(t=t, x=np.array([0.0, 0.5, 0.9]), v=np.array([0.0, 1e160, 1e200]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegratorFailureError, match=r"energy inf is not finite at t=1\.0$"):
+            energy_series(traj, ModelParams(xi=0.0, v=0.4))
