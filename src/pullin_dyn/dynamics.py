@@ -174,26 +174,28 @@ class Trajectory:
         return next((e for e in self.events if e.kind == kind), None)
 
     def interpolate_x(self, tq) -> np.ndarray:
-        """Cubic Hermite interpolation of the displacement at query times."""
+        """Cubic Hermite interpolation of the displacement at query times, in any order and shape."""
         tq = np.atleast_1d(np.asarray(tq, dtype=float))
-        if np.any(tq < self.t[0]) or np.any(tq > self.t[-1]):
-            raise InvalidParameterError("query time outside the sampled range")
-        return _knot_hermite(self.t, self.x, self.v, tq)
+        if not np.all((tq >= self.t[0]) & (tq <= self.t[-1])):  # NaN fails both
+            raise InvalidParameterError("query time NaN or outside the sampled range")
+        order = np.argsort(tq, axis=None, kind="stable")
+        x = np.empty(tq.shape)
+        x.flat[order] = _knot_hermite(self.t, self.x, self.v, tq.ravel()[order])
+        return x
 
     def first_crossing_time(self, level: float) -> float | None:
         """Time of the first upward crossing of a displacement level (to 1e-10), or None."""
+        if math.isnan(level):
+            raise InvalidParameterError("crossing level is NaN")
         above = np.nonzero(self.x >= level)[0]
         if len(above) == 0:
             return None
         i = int(above[0])
         if i == 0:
             return float(self.t[0])
-        return bracketed_root(
-            lambda tq: float(self.interpolate_x(tq)[0]) - level,
-            float(self.t[i - 1]),
-            float(self.t[i]),
-            xtol=_REFINE_TOL,
-        )
+        t, x, v = self.t, self.x, self.v  # the step from sample i - 1 to i brackets the crossing
+        return bracketed_root(lambda tq: float(_hermite(t[i - 1], x[i - 1], v[i - 1], t[i], x[i], v[i], tq)) - level,
+                              float(t[i - 1]), float(t[i]), xtol=_REFINE_TOL)
 
 
 @dataclass(frozen=True)
@@ -257,15 +259,15 @@ class TouchDownCheck:
     guaranteed is True when lam*c2 > c1. When guaranteed, monotone reports
     v(t) > 0 on the interior, lower_bound_ok the pointwise displacement lower
     bound, and tc_bound the analytic contact-time bound obtained by inverting
-    that lower bound at x = a.
+    that lower bound at x = a; all four are None when not guaranteed.
     """
 
     guaranteed: bool
     margin: float
-    t_c: float | None
-    tc_bound: float | None
-    monotone: bool | None
-    lower_bound_ok: bool | None
+    t_c: float | None = None
+    tc_bound: float | None = None
+    monotone: bool | None = None
+    lower_bound_ok: bool | None = None
 
 
 def energy_series(traj: Trajectory, m: ModelParams) -> np.ndarray:
@@ -291,9 +293,20 @@ def _hermite(t0, y0, d0, t1, y1, d1, tq):
 
 
 def _knot_hermite(t, y, d, tq):
-    # piecewise cubic Hermite through the knots (t, y, dy/dt), t increasing
-    i = np.clip(np.searchsorted(t, tq, side="right") - 1, 0, len(t) - 2)
-    return _hermite(t[i], y[i], d[i], t[i + 1], y[i + 1], d[i + 1], tq)
+    # piecewise cubic Hermite through the knots (t, y, dy/dt), t increasing, at nondecreasing
+    # tq: step i's cubic y + s (d + s (c2 + s c3)), s = tq - t_i, is built once and its
+    # coefficients repeated over its queries in [t_i, t_i+1); the end steps extend outward
+    h = np.diff(t)
+    dy = np.diff(y) / h
+    c2 = (3.0 * dy - 2.0 * d[:-1] - d[1:]) / h
+    c3 = (d[:-1] + d[1:] - 2.0 * dy) / (h * h)
+    n = np.diff(np.searchsorted(tq, t[1:-1]), prepend=0, append=len(tq))
+    s = tq - np.repeat(t[:-1], n)
+    out = np.repeat(c3, n)
+    for c in (c2, d[:-1], y[:-1]):
+        out *= s
+        out += np.repeat(c, n)
+    return out
 
 
 def _rk4_knots(f: Callable[[float], float], t: float, y: float, t_end: float, y_end: float):
@@ -487,10 +500,9 @@ def _dp5_step(rhs, t: float, x: float, v: float, kx1: float, kv1: float, h: floa
     x_new = x + h * (35/384 * kx1 + 500/1113 * kx3 + 125/192 * kx4 - 2187/6784 * kx5 + 11/84 * kx6)
     v_new = v + h * (35/384 * kv1 + 500/1113 * kv3 + 125/192 * kv4 - 2187/6784 * kv5 + 11/84 * kv6)
     kx7, kv7 = rhs(t + h, x_new, v_new)
-    kx, kv = (kx1, kx2, kx3, kx4, kx5, kx6, kx7), (kv1, kv2, kv3, kv4, kv5, kv6, kv7)
-    ex, ev = (-71/57600 * k[0] + 71/16695 * k[2] - 71/1920 * k[3] + 17253/339200 * k[4] - 22/525 * k[5]
-              + 1/40 * k[6] for k in (kx, kv))
-    return x_new, v_new, kx, kv, ex, ev
+    ex = -71/57600 * kx1 + 71/16695 * kx3 - 71/1920 * kx4 + 17253/339200 * kx5 - 22/525 * kx6 + 1/40 * kx7
+    ev = -71/57600 * kv1 + 71/16695 * kv3 - 71/1920 * kv4 + 17253/339200 * kv5 - 22/525 * kv6 + 1/40 * kv7
+    return x_new, v_new, (kx1, kx2, kx3, kx4, kx5, kx6, kx7), (kv1, kv2, kv3, kv4, kv5, kv6, kv7), ex, ev
 
 
 def _dp5_dense(t: float, h: float, y: float, k) -> Callable[[float], float]:
@@ -694,15 +706,16 @@ def integrate_critical(
     q1, _ = deflate(g_coeffs(m.xi, m.v, m.kappa), x0)
     (c0, c1, c2), _ = deflate(q1, x0)
 
-    def q_ratio(x):  # q(x)/(xs - x), on scalars or arrays
+    def q_ratio(x):  # q(x)/(xs - x), on scalars or arrays; the RK4 rates inline it, one call less per stage
         return ((c0 * x + c1) * x + c2) / (xs - x)
 
     def ds_dt(s: float) -> float:
-        return 0.5 * (x0 - s * s) * math.sqrt(q_ratio(s * s))
+        x = s * s
+        return 0.5 * (x0 - x) * math.sqrt(((c0 * x + c1) * x + c2) / (xs - x))
 
     def dw_dt(w: float) -> float:
         x = x0 - math.exp(-w)
-        return math.sqrt(x * q_ratio(x))
+        return math.sqrt(x * (((c0 * x + c1) * x + c2) / (xs - x)))
 
     # s = sqrt(x) from rest to x0/2, or to the surface if it comes first
     t1, s1, d1 = _rk4_knots(ds_dt, 0.0, 0.0, t_max, math.sqrt(min(0.5 * x0, surface)))
@@ -714,14 +727,14 @@ def integrate_critical(
     if s1[-1] >= 1.0 or (x0 > surface and w2[-1] >= w_end):
         # the last step of the phase that reached the surface (s = 1 or w = w_end) brackets it
         tk, yk, dk, level = (t1, s1, d1, 1.0) if s1[-1] >= 1.0 else (t2, w2, d2, w_end)
-        t_c = bracketed_root(lambda tq: _knot_hermite(tk, yk, dk, tq) - level,
+        t_c = bracketed_root(lambda tq: _hermite(tk[-2], yk[-2], dk[-2], tk[-1], yk[-1], dk[-1], tq) - level,
                              float(tk[-2]), float(tk[-1]), xtol=_REFINE_TOL)
     elif t2[-1] < t_max:  # x is x0 in floating point: w grows at the rate r(x0) to the horizon
         t2, w2, d2 = np.append(t2, t_max), np.append(w2, w2[-1] + d2[-1] * (t_max - t2[-1])), np.append(d2, d2[-1])
 
     t = np.arange(math.ceil(t_max / cfg.dt) + 1) * cfg.dt
-    t = np.append(t[t < t_max - 1e-12], t_max)
-    t = t[t < t_c]
+    t = np.append(t[:np.searchsorted(t, t_max - 1e-12)], t_max)
+    t = t[:np.searchsorted(t, t_c)]
     n1 = int(np.searchsorted(t, t1[-1], side="right"))
     s = _knot_hermite(t1, s1, d1, t[:n1])
     w = _knot_hermite(t2, w2, d2, t[n1:])
@@ -826,14 +839,7 @@ def integrate_generic(
     margin = gm.lam * gm.c2 - gm.c1
     guaranteed = margin > 0.0
     if not guaranteed:
-        return traj, TouchDownCheck(
-            guaranteed=False,
-            margin=margin,
-            t_c=None,
-            tc_bound=None,
-            monotone=None,
-            lower_bound_ok=None,
-        )
+        return traj, TouchDownCheck(guaranteed=False, margin=margin)
 
     interior = traj.t > traj.t[0]
     monotone = bool(np.all(traj.v[interior] > 0.0))

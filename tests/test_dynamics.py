@@ -371,6 +371,54 @@ def test_first_crossing_time_measures_half_level(periodic_run):
     assert traj.first_crossing_time(0.9) is None
 
 
+@pytest.mark.parametrize("tq", [np.nan, [1.0, np.nan], [np.nan, 0.5], [[0.5], [np.nan]]])
+def test_interpolate_x_rejects_nan(periodic_run, tq):
+    with pytest.raises(InvalidParameterError, match="NaN or outside"):
+        periodic_run[2].interpolate_x(tq)
+
+
+def test_first_crossing_time_rejects_nan(periodic_run):
+    with pytest.raises(InvalidParameterError, match="NaN"):
+        periodic_run[2].first_crossing_time(np.nan)
+
+
+def _knots(seed: int, tiny_last_step: bool):
+    # random increasing knots; optionally a last step of 1e-12 on the last
+    # knot's tangent, like the horizon knot integrate_critical may append
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(np.concatenate(([rng.uniform(-1.0, 1.0)], rng.uniform(1e-3, 0.5, 40))))
+    y, d = rng.normal(0.0, 10.0, t.size), rng.normal(0.0, 30.0, t.size)
+    if tiny_last_step:
+        t, y, d = np.append(t, t[-1] + 1e-12), np.append(y, y[-1] + d[-1] * 1e-12), np.append(d, d[-1])
+    return t, y, d
+
+
+def _hermite_per_query(t, y, d, tq):
+    # each query on its own, on the step searchsorted(t, tq, side="right") - 1, clipped
+    i = np.clip(np.searchsorted(t, tq, side="right") - 1, 0, len(t) - 2)
+    return np.array([dynamics._hermite(t[k], y[k], d[k], t[k + 1], y[k + 1], d[k + 1], q)
+                     for k, q in zip(np.ravel(i), np.ravel(tq))]).reshape(np.shape(tq))
+
+
+@pytest.mark.parametrize("seed,tiny_last_step", [(1, False), (2, False), (3, True), (4, True)])
+def test_knot_hermite_matches_the_basis_form_per_query(seed, tiny_last_step):
+    t, y, d = _knots(seed, tiny_last_step)
+    bound = 1e-14 * (np.max(np.abs(y)) + np.max(np.abs(np.diff(t) * d[:-1])))
+    rng = np.random.default_rng(seed)
+    ends = [t[0], t[0], t[-1], t[-1] - 5e-13, t[-1]]
+    sorted_q = np.sort(np.concatenate((rng.uniform(t[0], t[-1], 500), t, ends)))
+    shuffled = rng.permutation(sorted_q)
+    traj = Trajectory(t=t, x=y, v=d)
+    assert np.max(np.abs(dynamics._knot_hermite(t, y, d, sorted_q) - _hermite_per_query(t, y, d, sorted_q))) <= bound
+    for tq in (sorted_q, sorted_q[::-1], shuffled, shuffled[:500].reshape(-1, 4), t[3], t[-1]):
+        got = traj.interpolate_x(tq)
+        assert got.shape == np.atleast_1d(tq).shape
+        assert np.max(np.abs(got - _hermite_per_query(t, y, d, np.atleast_1d(tq)))) <= bound
+    order = np.argsort(shuffled)
+    assert np.array_equal(traj.interpolate_x(shuffled)[order], traj.interpolate_x(sorted_q))
+    assert np.array_equal(traj.interpolate_x(sorted_q[::-1]), traj.interpolate_x(sorted_q)[::-1])
+
+
 def test_verify_periodicity_requires_stagnation():
     traj = integrate(ModelParams(xi=0.0, v=0.0), IntegratorConfig(t_max=2.0))
     with pytest.raises(NotApplicableError):
