@@ -66,6 +66,7 @@ EXIT_INTEGRATOR = 4
 EXIT_REGIME = 5
 
 DEFAULT_PRECISION = 12
+_MAX_PRECISION = 767  # no double's exact decimal value has more significant digits
 _PRECISION_ENV = "PULLIN_DYN_PRECISION"
 
 _PHYS_KEYS = ("mass", "spring_k", "spring_k3", "area", "gap", "voltage", "d0", "eps_r", "eps0")
@@ -184,6 +185,8 @@ def _resolve_precision(args: argparse.Namespace) -> int:
             raise InvalidParameterError(f"bad {_PRECISION_ENV}: {env!r}") from exc
     if precision < 0:
         raise InvalidParameterError(f"{source} must be >= 0, got {precision}")
+    if precision > _MAX_PRECISION:
+        raise InvalidParameterError(f"{source} must be <= {_MAX_PRECISION}, got {precision}")
     return precision
 
 
@@ -332,11 +335,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def _write_trajectory_csv(
     path: str, traj: Trajectory, m: ModelParams, cfg: IntegratorConfig, precision: int
 ) -> None:
-    # Each chunk of rows is one % call on the repeated line template; "%.{p}g" % x is format(x, ".{p}g"),
-    # so the text is that of fmt_float and needs no csv quoting. Chunks bound the text and stacked copy held.
+    # Each chunk's cells are "%.{p}g" % x, which is format(x, ".{p}g"): the text of fmt_float, which needs no
+    # csv quoting. Chunks bound the text and stacked copy held. The text module is imported here, so commands
+    # that write no trajectory neither compile nor load it.
+    from ._gtext import csv_rows
+
     with_h = m.mu == 0.0
     columns = [traj.t, traj.x, traj.v] + ([energy_series(traj, m)] if with_h else [])
-    line = ",".join([f"%.{precision}g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(f"# pullin-dyn simulate version={__version__}\n")
         fh.write(f"# params xi={m.xi!r} v={m.v!r} kappa={m.kappa!r} mu={m.mu!r}\n")
@@ -346,8 +351,7 @@ def _write_trajectory_csv(
         )
         fh.write(",".join(["t", "x", "v"] + (["H"] if with_h else [])) + "\n")
         for i in range(0, len(traj), _CSV_CHUNK_ROWS):
-            cells = np.column_stack([c[i : i + _CSV_CHUNK_ROWS] for c in columns]).ravel().tolist()
-            fh.write((line * (len(cells) // len(columns))) % tuple(cells))
+            fh.write(csv_rows(np.column_stack([c[i : i + _CSV_CHUNK_ROWS] for c in columns]), precision))
         for ev in traj.events:
             fh.write(f"# event,{ev.kind},{fmt_float(ev.t, precision)},{fmt_float(ev.x, precision)}\n")
 

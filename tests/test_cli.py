@@ -241,7 +241,7 @@ def _reference_trajectory_csv(traj, m, cfg, precision):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("precision", [3, 6, 12, 17])
+@pytest.mark.parametrize("precision", [0, 1, 3, 6, 12, 15, 17])
 @pytest.mark.parametrize("mu", [0.0, 0.2, 0.3])
 def test_simulate_csv_matches_per_cell_reference(capsys, tmp_path, precision, mu):
     m = ModelParams(xi=0.3, v=0.35, kappa=0.5, mu=mu)
@@ -980,6 +980,23 @@ def test_negative_precision_env_exits_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "pullin", "--xi", "0")
     assert code == 2 and out == ""
     assert "PULLIN_DYN_PRECISION" in err
+
+
+def test_oversized_precision_flag_exits_2(capsys, tmp_path):
+    # "%.{p}g" raises ValueError for a precision this large; 767 digits print every double exactly
+    code, out, err = run_cli(
+        capsys, "simulate", "--xi", "0", "--v", "0.4", "--t-max", "0.01",
+        "--precision", "99999999999999999999", "--output", str(tmp_path / "traj.csv"),
+    )
+    assert code == 2 and out == ""
+    assert "--precision" in err and "767" in err
+
+
+def test_oversized_precision_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("PULLIN_DYN_PRECISION", "3000000000")
+    code, out, err = run_cli(capsys, "pullin", "--xi", "0")
+    assert code == 2 and out == ""
+    assert "PULLIN_DYN_PRECISION" in err and "767" in err
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,82 @@
+"""The trajectory CSV kernel prints each cell exactly as the "%.{p}g" template does."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pullin_dyn import _gtext
+
+COLS = 4
+
+
+def template_rows(block, precision):
+    # one "%.{p}g" % cell per cell, as the writer printed before the kernel
+    text = f"%.{precision}g"
+    return "".join(",".join(text % v for v in row) + "\n" for row in block.tolist())
+
+
+def kernel_rows(block, precision):
+    # csv_rows with the kernel on blocks of any size, so that a failing example shrinks fast
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_gtext, "_MIN_CELLS", 0)
+        return _gtext.csv_rows(block, precision)
+
+
+def as_block(values):
+    return np.resize(np.asarray(values, dtype=np.float64), (-(-len(values) // COLS), COLS))
+
+
+def _near_half(m, k, ulps):
+    # the double nearest m.5e(k) moved by a few ulps: at len(str(m)) digits its rounding hangs on a near-half
+    v = float(f"{m}5e{k}")
+    return float(v + ulps * np.spacing(v))
+
+
+@st.composite
+def blocks(draw):
+    precision = draw(st.integers(0, 17))
+    digits = max(precision, 1)
+    m = st.integers(10 ** (digits - 1), 10**digits - 1)
+    near_halves = st.builds(_near_half, m, st.integers(-25, 20), st.integers(-2, 2))
+    return draw(st.lists(st.floats() | near_halves, min_size=1, max_size=64)), precision
+
+
+@given(blocks())
+@settings(max_examples=400, deadline=None)
+def test_kernel_matches_template(drawn):
+    values, precision = drawn
+    block = as_block(values)
+    assert kernel_rows(block, precision) == template_rows(block, precision)
+
+
+@pytest.mark.parametrize(
+    "value, precision, text",
+    [
+        (0.0095, 1, "0.009"),  # the product is 9.5 but the exact value lies below the half
+        (1.000244140625, 12, "1.00024414062"),  # an exact tie, rounded to even
+        (9.9999999999995, 12, "10"),  # the rounding carries into the next exponent
+    ],
+)
+def test_kernel_near_half(value, precision, text):
+    block = as_block([value, -value])
+    assert kernel_rows(block, precision) == template_rows(block, precision)
+    assert kernel_rows(block, precision).startswith(f"{text},-{text},")
+
+
+def _edges():
+    # 10^k and its neighbours, and values that round onto the exponent boundaries of fixed notation
+    values = []
+    for k in range(-6, 17):
+        v = float(f"1e{k}")
+        values += [np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)]
+    for k in (-5, -4, 11, 12):
+        values += [float(f"1e{k}") * (1.0 - 5.0 * 10.0 ** -j) for j in range(1, 17)]
+    return values
+
+
+@pytest.mark.parametrize("precision", range(18))
+def test_kernel_edges(precision):
+    edges = _edges()
+    block = as_block(edges + [-v for v in edges])
+    assert kernel_rows(block, precision) == template_rows(block, precision)
