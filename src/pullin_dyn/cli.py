@@ -341,7 +341,9 @@ def _write_trajectory_csv(
     from ._gtext import csv_rows
 
     with_h = m.mu == 0.0
-    columns = [traj.t, traj.x, traj.v] + ([energy_series(traj, m)] if with_h else [])
+    columns = [traj.t, traj.x, traj.v]
+    if with_h:  # integrate keeps the H of its drift pass
+        columns.append(traj.energy if traj.energy is not None else energy_series(traj, m))
     with open(path, "w", newline="") as fh:
         fh.write(f"# pullin-dyn simulate version={__version__}\n")
         fh.write(f"# params xi={m.xi!r} v={m.v!r} kappa={m.kappa!r} mu={m.mu!r}\n")

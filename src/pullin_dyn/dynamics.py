@@ -35,6 +35,7 @@ position lies beyond the contact surface, the critical run ends at touch-down.
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -57,7 +58,6 @@ from .model import (
     ModelParams,
     PhaseState,
     deflate,
-    energy,
     g_coeffs,
     make_force,
 )
@@ -143,7 +143,8 @@ class Trajectory:
     t, x, v are aligned arrays with strictly increasing t. energy_drift is the
     maximum |H(t) - H(0)| over samples for undamped runs (excluding samples
     inside the contact layer, where a fixed-step scheme has no meaningful
-    energy resolution); None for damped runs.
+    energy resolution); None for damped runs. energy holds H at every sample
+    when the run computed it for energy_drift, else None.
     """
 
     t: np.ndarray
@@ -152,6 +153,7 @@ class Trajectory:
     events: list[Event] = field(default_factory=list)
     energy_drift: float | None = None
     terminated_by: str = TERMINATED_HORIZON
+    energy: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         # samples are immutable after construction and safe to share
@@ -271,9 +273,25 @@ class TouchDownCheck:
 
 
 def energy_series(traj: Trajectory, m: ModelParams) -> np.ndarray:
-    """Total energy at each sample of an actuator trajectory; IntegratorFailureError where it is not finite."""
+    """Total energy at each sample of an actuator trajectory; IntegratorFailureError where it is not finite.
+
+    model.energy's terms in its order, each formed and summed in place: a
+    call allocates two arrays of the samples' size (model.energy on arrays
+    allocates one per operation) and returns bit for bit the same values.
+    """
+    x, v = traj.x, traj.v
     with np.errstate(over="ignore", invalid="ignore"):
-        h = energy(traj.x, traj.v, m)
+        h = np.multiply(0.5, v)
+        h *= v
+        term = np.multiply(0.5, x)
+        term *= x
+        h += term
+        np.power(x, 4, out=term)
+        term *= 0.25 * m.kappa
+        h += term
+        np.subtract(m.x_singular, x, out=term)
+        np.divide(0.5 * m.v * m.v, term, out=term)
+        h -= term
     bad = np.flatnonzero(~np.isfinite(h))
     if bad.size:
         raise IntegratorFailureError(f"energy {float(h[bad[0]])!r} is not finite at t={float(traj.t[bad[0]])!r}")
@@ -384,6 +402,23 @@ def _check_step_budget(t_max: float, dt: float) -> None:
         raise IntegratorFailureError(f"t_max={t_max} at dt={dt} exceeds the budget of {_MAX_STEPS} fixed steps")
 
 
+def _last_float(holds: Callable[[float], bool], lo: float, hi: float) -> float:
+    """The largest float in [lo, hi) where holds is true, for 0 <= lo < hi and a
+    predicate that is true up to some point and false beyond it; -inf if it is
+    false at lo. A bisection over the bit patterns, which order nonnegative
+    floats by value, so at most 64 probes however close the limit is to lo."""
+    if not holds(lo):
+        return -math.inf
+    a, b = (struct.unpack("<q", struct.pack("<d", y))[0] for y in (lo, hi))
+    while b - a > 1:
+        mid = (a + b) // 2
+        if holds(struct.unpack("<d", struct.pack("<q", mid))[0]):
+            a = mid
+        else:
+            b = mid
+    return struct.unpack("<d", struct.pack("<q", a))[0]
+
+
 def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float, v0: float, cfg: IntegratorConfig,
                     surface: float, project_origin: bool) -> _Collector:
     """Staggered position-velocity scheme with step halving near contact.
@@ -391,6 +426,17 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
     The damping term enters the half kick explicitly and the full kick
     implicitly, which reduces to plain velocity Verlet at mu = 0. Turns are
     dated on the step's cubic Hermite interpolant of v.
+
+    An undamped run takes its regular steps in an inner loop bounded by two
+    limits, each found once by _last_float: t_lim, the largest t with
+    t + dt <= t_max, and x_lim, the largest x outside the contact zone and
+    below the trigger (which can lie inside the zone). There a step needs no
+    halving, meets no trigger and, by the step budget, advances t, so the
+    inner loop tests only x_new > x_lim and the turn. Every other step (the
+    partial last one, the zone, the trigger, every damped step) leaves the
+    inner loop before it commits anything and takes the general body. Both
+    do the same arithmetic in the same order and share the turn helper, so
+    the results are bit for bit those of the general body alone.
     """
     _check_step_budget(cfg.t_max, cfg.dt)
     col = _Collector()
@@ -405,8 +451,45 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
     a = force(x, t)
     col.add(t, x, v)
     half_mu = 0.5 * mu
+    half_dt = 0.5 * dt_base
+    # both tests are monotone in their variable; -inf when no full step or no x qualifies, and
+    # t_lim = -inf sends every step of a damped run to the general body
+    t_lim = _last_float(lambda tq: tq + dt_base <= t_max and tq < t_max, 0.0, t_max) if not mu else -math.inf
+    x_lim = _last_float(lambda xq: surface - xq >= zone and xq < trigger, 0.0, surface)
+
+    def turn(t, x, v, a, t_new, x_new, v_new, a_new) -> float | None:
+        # the turn on a step where v changes sign; a corner's time, for a restart at (0, 0)
+        acc0 = a - mu * v
+        acc1 = a_new - mu * v_new
+        return _turn(col, t, t_new, v, lambda tq: _hermite(t, v, acc0, t_new, v_new, acc1, tq),
+                     lambda tq: _hermite(t, x, v, t_new, x_new, v_new, tq), _REFINE_TOL, project_origin)
 
     while t < t_max:
+        if t <= t_lim and x <= x_lim:
+            while t <= t_lim:
+                vh = v + half_dt * (a - mu * v)  # mu is 0, but a - 0 v is NaN, not a, at v = inf
+                x_new = x + dt_base * vh
+                if x_new > x_lim:
+                    break
+                t_new = t + dt_base
+                a_new = force(x_new, t_new)
+                v_new = vh + half_dt * a_new
+                if (v > 0.0 and v_new <= 0.0) or (v < 0.0 and v_new >= 0.0):  # the body's test, unchained: cheaper
+                    t_corner = turn(t, x, v, a, t_new, x_new, v_new, a_new)
+                    if t_corner is not None:
+                        t, x, v = t_corner, 0.0, 0.0
+                        a = force(x, t)
+                        continue
+                t = t_new  # one store each: a tuple assignment builds a tuple per step
+                x = x_new
+                v = v_new
+                a = a_new
+                t_append(t)
+                x_append(x)
+                v_append(v)
+            else:
+                continue  # past t_lim: the horizon test, then the partial last step
+
         dt_eff = dt_base if t + dt_base <= t_max else t_max - t
         if surface - x < zone:
             gap = surface - x
@@ -438,14 +521,7 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
             v_new = vh + 0.5 * dt_eff * a_new
 
         if v > 0.0 >= v_new or v < 0.0 <= v_new:
-            acc0 = a - mu * v
-            acc1 = a_new - mu * v_new
-            t_corner = _turn(
-                col, t, t_new, v,
-                lambda tq: _hermite(t, v, acc0, t_new, v_new, acc1, tq),
-                lambda tq: _hermite(t, x, v, t_new, x_new, v_new, tq),
-                _REFINE_TOL, project_origin,
-            )
+            t_corner = turn(t, x, v, a, t_new, x_new, v_new, a_new)
             if t_corner is not None:
                 t, x, v = t_corner, 0.0, 0.0
                 a = force(x, t)
@@ -592,11 +668,12 @@ def _finalize(col: _Collector, m: ModelParams | None, surface: float) -> Traject
     t, x, v = col.arrays()
     traj = Trajectory(t=t, x=x, v=v, events=col.events, terminated_by=col.terminated_by)
     if m is not None and m.mu == 0.0:
-        energies = energy_series(traj, m)
+        traj.energy = energies = energy_series(traj, m)
+        energies.setflags(write=False)
         keep = x <= surface - _CONTACT_ZONE * surface
-        if not np.any(keep):
-            keep = np.ones_like(x, dtype=bool)
-        traj.energy_drift = float(np.max(np.abs(energies[keep] - energies[0])))
+        drift = energies[keep] if np.any(keep) else energies.copy()
+        drift -= energies[0]
+        traj.energy_drift = float(np.max(np.abs(drift, out=drift)))
     return traj
 
 
@@ -706,9 +783,6 @@ def integrate_critical(
     q1, _ = deflate(g_coeffs(m.xi, m.v, m.kappa), x0)
     (c0, c1, c2), _ = deflate(q1, x0)
 
-    def q_ratio(x):  # q(x)/(xs - x), on scalars or arrays; the RK4 rates inline it, one call less per stage
-        return ((c0 * x + c1) * x + c2) / (xs - x)
-
     def ds_dt(s: float) -> float:
         x = s * s
         return 0.5 * (x0 - x) * math.sqrt(((c0 * x + c1) * x + c2) / (xs - x))
@@ -732,15 +806,20 @@ def integrate_critical(
     elif t2[-1] < t_max:  # x is x0 in floating point: w grows at the rate r(x0) to the horizon
         t2, w2, d2 = np.append(t2, t_max), np.append(w2, w2[-1] + d2[-1] * (t_max - t2[-1])), np.append(d2, d2[-1])
 
-    t = np.arange(math.ceil(t_max / cfg.dt) + 1) * cfg.dt
+    # whole-grid passes below work in place, on as few arrays as the results need
+    t = np.arange(math.ceil(t_max / cfg.dt) + 1, dtype=float)
+    t *= cfg.dt
     t = np.append(t[:np.searchsorted(t, t_max - 1e-12)], t_max)
     t = t[:np.searchsorted(t, t_c)]
     n1 = int(np.searchsorted(t, t1[-1], side="right"))
     s = _knot_hermite(t1, s1, d1, t[:n1])
     w = _knot_hermite(t2, w2, d2, t[n1:])
     # the gap underflows to 0 past w ~ 745; its logarithm, -w there, does not
-    gap = np.concatenate((x0 - s * s, np.exp(-w)))
-    log_gap = np.concatenate((np.log(gap[:n1]), -w))
+    gap, log_gap = np.empty(len(t)), np.empty(len(t))
+    np.subtract(x0, np.multiply(s, s, out=s), out=gap[:n1])
+    np.negative(w, out=log_gap[n1:])
+    np.exp(log_gap[n1:], out=gap[n1:])
+    np.log(gap[:n1], out=log_gap[:n1])
     events = []
     if t_c <= t_max:
         keep = gap > x0 - surface  # a sample within the refine tolerance of t_c may reach it
@@ -748,15 +827,26 @@ def integrate_critical(
         log_gap = np.append(log_gap[keep], math.log(x0 - surface))
         events.append(Event(EVENT_TOUCHDOWN, t_c, surface))
     x = x0 - gap  # x0 - 1 is exact, so touch-down lands on the surface exactly
-    traj = Trajectory(t=t, x=x, v=gap * np.sqrt(x * q_ratio(x)), events=events,
+    # v = gap sqrt(x q(x)/(xs - x)) with q(x) = (c0 x + c1) x + c2
+    v, tmp = np.multiply(c0, x), np.subtract(xs, x)
+    v += c1
+    v *= x
+    v += c2
+    v /= tmp
+    v *= x
+    np.sqrt(v, out=v)
+    v *= gap
+    traj = Trajectory(t=t, x=x, v=v, events=events,
                       terminated_by=TERMINATED_TOUCHDOWN if events else TERMINATED_HORIZON)
     if m.mu == 0.0:
-        energies = energy_series(traj, m)
-        traj.energy_drift = float(np.max(np.abs(energies - energies[0])))
+        traj.energy = energies = energy_series(traj, m)
+        energies.setflags(write=False)
+        np.subtract(energies, energies[0], out=tmp)
+        traj.energy_drift = float(np.max(np.abs(tmp, out=tmp)))
     report = CriticalReport(
         x_limit=x0,
         final_gap=float(gap[-1]),
-        gap_strictly_decreasing=bool(np.all(np.diff(log_gap) < 0.0)),
+        gap_strictly_decreasing=bool(np.all(np.subtract(log_gap[1:], log_gap[:-1], out=tmp[1:]) < 0.0)),
         always_below_limit=bool(np.all(np.isfinite(log_gap))),
         gap=gap,
         steps=steps,
@@ -825,6 +915,8 @@ def integrate_generic(
     model is still integrated and the check reports guaranteed=False.
     """
     cfg = cfg or IntegratorConfig()
+    if cfg.contact_epsilon >= gm.a:  # the trigger a - contact_epsilon would lie at or below the start
+        raise InvalidParameterError(f"contact_epsilon={cfg.contact_epsilon!r} must be below a={gm.a!r}")
     _validate_generic_bounds(gm, cfg.t_max)
 
     def force(x: float, t: float) -> float:

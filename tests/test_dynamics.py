@@ -1,4 +1,5 @@
 import math
+import signal
 import time
 import tracemalloc
 import warnings
@@ -450,6 +451,9 @@ def test_integrate_critical_cubic():
     assert rep.x_limit == pytest.approx(cubic_min_point(0.0, 1.0), abs=1e-12)
     assert rep.gap_strictly_decreasing and rep.always_below_limit
     assert rep.final_gap < 1e-2
+    # the samples' velocity is the first integral's, so H stays at its start value
+    assert np.max(np.abs(traj.v**2 - first_integral_rhs(traj.x, m))) < 1e-15
+    assert traj.energy_drift < 1e-15
 
 
 def _linear_critical_time(u, x0):
@@ -800,3 +804,134 @@ def test_energy_series_rejects_non_finite_energy():
         warnings.simplefilter("error")
         with pytest.raises(IntegratorFailureError, match=r"energy inf is not finite at t=1\.0$"):
             energy_series(traj, ModelParams(xi=0.0, v=0.4))
+
+
+@pytest.mark.parametrize("scheme", ["adaptive", "symplectic"])
+def test_generic_trigger_at_or_below_start_rejected(scheme):
+    # contact_epsilon >= a puts the trigger a - contact_epsilon at or below the start x = 0
+    gm = GenericForcedModel(mu=0.0, lam=1.0, f_fn=lambda x, t: x, forcing_g=lambda x, t: 1.0 / (2.0 * (1e-7 - x) ** 2),
+                            a=1e-7, c1=1e-7, c2=0.5e14)
+    with pytest.raises(InvalidParameterError, match=r"contact_epsilon=1e-06 .*a=1e-07"):
+        integrate_generic(gm, IntegratorConfig(scheme=scheme, contact_epsilon=1e-6, t_max=1.0))
+
+
+def _reference_run_symplectic(force, mu, x0, v0, cfg, surface, project_origin):
+    # the fixed-step loop as one plain body, every test on every step
+    dynamics._check_step_budget(cfg.t_max, cfg.dt)
+    col = dynamics._Collector()
+    dt_base = cfg.dt
+    zone = dynamics._CONTACT_ZONE * surface
+    trigger = surface - cfg.contact_epsilon
+    t_max = cfg.t_max
+    t, x, v = 0.0, x0, v0
+    a = force(x, t)
+    col.add(t, x, v)
+    half_mu = 0.5 * mu
+
+    while t < t_max:
+        dt_eff = dt_base if t + dt_base <= t_max else t_max - t
+        if surface - x < zone:
+            gap = surface - x
+            while dt_eff > dynamics._DT_MIN:
+                vh_est = v + 0.5 * dt_eff * (a - mu * v)
+                if abs(vh_est) * dt_eff <= 0.25 * gap:
+                    break
+                dt_eff *= 0.5
+            dt_eff = max(dt_eff, dynamics._DT_MIN)
+
+        vh = v + 0.5 * dt_eff * (a - mu * v)
+        x_new = x + dt_eff * vh
+        t_new = t + dt_eff
+
+        if x_new >= trigger:
+            if vh <= 0.0:
+                raise IntegratorFailureError(f"contact trigger reached with nonpositive drift velocity at t={t}")
+            t_cross = t + (trigger - x) / vh
+            col.add(t_cross, trigger, vh)
+            col.touch_down(t_cross, trigger, vh, surface)
+            break
+
+        a_new = force(x_new, t_new)
+        if mu:
+            v_new = (vh + 0.5 * dt_eff * a_new) / (1.0 + half_mu * dt_eff)
+        else:
+            v_new = vh + 0.5 * dt_eff * a_new
+
+        if v > 0.0 >= v_new or v < 0.0 <= v_new:
+            acc0 = a - mu * v
+            acc1 = a_new - mu * v_new
+            t_corner = dynamics._turn(
+                col, t, t_new, v,
+                lambda tq: dynamics._hermite(t, v, acc0, t_new, v_new, acc1, tq),
+                lambda tq: dynamics._hermite(t, x, v, t_new, x_new, v_new, tq),
+                dynamics._REFINE_TOL, project_origin,
+            )
+            if t_corner is not None:
+                t, x, v = t_corner, 0.0, 0.0
+                a = force(x, t)
+                continue
+
+        if t_new <= t:
+            raise IntegratorFailureError(f"samples not strictly increasing in t at t={t_new}")
+        t, x, v, a = t_new, x_new, v_new, a_new
+        col.add(t, x, v)
+
+    return col
+
+
+def _actuator_force(xi, v, mu=0.0):
+    fast = make_force(ModelParams(xi=xi, v=v, mu=mu))
+    return lambda x, t: fast(x)
+
+
+# (force, mu, x0, v0, dt, t_max, contact_epsilon, surface, project_origin)
+_LOOP_CASES = {
+    "corners-and-turns": (_actuator_force(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 12.0, 1e-9, 1.0, True),
+    "zone-and-trigger": (_actuator_force(0.0, 0.6), 0.0, 0.0, 0.0, 1e-3, 5.0, 1e-9, 1.0, True),
+    "wide-trigger": (_actuator_force(0.3, 1.0), 0.0, 0.0, 0.0, 1e-3, 5.0, 9.99e-4, 1.0, True),
+    "partial-last-step": (_actuator_force(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 2.00037, 1e-9, 1.0, True),
+    "t_max-multiple-of-dt": (_actuator_force(0.0, 0.4), 0.0, 0.0, 0.0, 3e-4, 1000 * 3e-4, 1e-9, 1.0, True),
+    "t_max-equals-dt": (_actuator_force(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 1e-3, 1e-9, 1.0, True),
+    "t_max-below-dt": (_actuator_force(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 0.3e-3, 1e-9, 1.0, True),
+    "damped-turns": (_actuator_force(0.0, 0.4, mu=0.5), 0.5, 0.0, 0.0, 1e-3, 8.0, 1e-9, 1.0, False),
+    "damped-touchdown": (_actuator_force(0.0, 0.6, mu=0.5), 0.5, 0.0, 0.0, 1e-3, 5.0, 1e-9, 1.0, False),
+    "away-from-rest": (_actuator_force(0.0, 0.3), 0.0, 0.2, -0.6, 1e-3, 6.0, 1e-9, 1.0, False),
+    "negative-turn-fails": (lambda x, t: -x - 0.1, 0.0, 0.0, 0.0, 1e-3, 5.0, 1e-9, 1.0, True),
+    # the trigger 1e-8 lies far below the zone edge 0.999e-7
+    "tiny-generic-surface": (lambda x, t: 1e-6, 0.0, 0.0, 0.0, 1e-3, 1.0, 9e-8, 1e-7, False),
+}
+
+
+def _loop_outcome(run, force, mu, x0, v0, dt, t_max, eps, surface, project):
+    def expire(signum, frame):
+        raise TimeoutError("fixed-step loop did not finish within 30 s")
+
+    cfg = IntegratorConfig(dt=dt, t_max=t_max, contact_epsilon=eps)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    try:
+        col = run(force, mu, x0, v0, cfg, surface, project)
+    except IntegratorFailureError as exc:
+        return type(exc).__name__, str(exc)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return ([arr.tobytes() for arr in col.arrays()], [(e.kind, e.t, e.x) for e in col.events], col.terminated_by)
+
+
+@pytest.mark.parametrize("case", list(_LOOP_CASES))
+def test_fixed_step_inner_loop_matches_plain_loop(case):
+    # bit for bit: samples, events, termination and error text
+    args = _LOOP_CASES[case]
+    expected = _loop_outcome(_reference_run_symplectic, *args)
+    assert _loop_outcome(dynamics._run_symplectic, *args) == expected
+    # each case reaches the exit it is named for
+    kinds = {e[0] for e in expected[1]} if isinstance(expected[1], list) else set()
+    if case in ("corners-and-turns", "damped-turns", "away-from-rest"):
+        assert EVENT_STAGNATION in kinds and (EVENT_RETURN in kinds) == (case == "corners-and-turns")
+    if case in ("zone-and-trigger", "wide-trigger", "damped-touchdown", "tiny-generic-surface"):
+        assert expected[2] == dynamics.TERMINATED_TOUCHDOWN
+    if case in ("t_max-equals-dt", "t_max-below-dt"):
+        assert np.frombuffer(expected[0][0]).tolist() == [0.0, _LOOP_CASES[case][5]]
+    if case == "negative-turn-fails":
+        assert "interior displacement went negative" in expected[1]

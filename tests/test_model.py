@@ -22,7 +22,7 @@ from pullin_dyn import (
     normalize_physical,
     pullin,
 )
-from pullin_dyn.model import make_force
+from pullin_dyn.model import energy, make_force
 
 
 def test_normalize_physical_worked_example():
@@ -115,6 +115,16 @@ def test_make_force_matches_force():
     traj = integrate(m, IntegratorConfig(dt=1e-3, t_max=2.0))
     h = [hamiltonian(s, m) for s in traj.states()]
     np.testing.assert_allclose(energy_series(traj, m), h, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.7])
+def test_energy_series_is_model_energy_bit_for_bit(kappa):
+    # the in-place series repeats model.energy's operations in its order; an undamped run keeps it
+    m = ModelParams(xi=0.3, v=0.45, kappa=kappa)
+    traj = integrate(m, IntegratorConfig(dt=1e-3, t_max=3.0), x0=0.2, v0=-0.3)
+    expected = energy(traj.x, traj.v, m).tobytes()
+    assert energy_series(traj, m).tobytes() == traj.energy.tobytes() == expected
+    assert integrate(ModelParams(xi=0.3, v=0.45, mu=0.1), IntegratorConfig(dt=1e-3, t_max=1.0)).energy is None
 
 
 def test_first_integral_rhs_values():
