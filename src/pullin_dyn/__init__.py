@@ -62,15 +62,11 @@ from .errors import (
     SupercriticalError,
 )
 from .model import (
-    ConvexityReport,
     ModelParams,
     PhaseState,
     PhysicalParams,
-    check_convexity,
     convexity_bound,
     first_integral_rhs,
-    force,
-    hamiltonian,
     normalize_physical,
 )
 from .quadrature import (

@@ -43,7 +43,6 @@ from .dynamics import (
     GenericForcedModel,
     IntegratorConfig,
     Trajectory,
-    energy_series,
     integrate,
     integrate_generic,
 )
@@ -341,9 +340,7 @@ def _write_trajectory_csv(
     from ._gtext import csv_rows
 
     with_h = m.mu == 0.0
-    columns = [traj.t, traj.x, traj.v]
-    if with_h:  # integrate keeps the H of its drift pass
-        columns.append(traj.energy if traj.energy is not None else energy_series(traj, m))
+    columns = [traj.t, traj.x, traj.v] + ([traj.energy] if with_h else [])  # every undamped run keeps H
     with open(path, "w", newline="") as fh:
         fh.write(f"# pullin-dyn simulate version={__version__}\n")
         fh.write(f"# params xi={m.xi!r} v={m.v!r} kappa={m.kappa!r} mu={m.mu!r}\n")

@@ -38,7 +38,7 @@ import math
 import struct
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -140,11 +140,11 @@ class Event:
 class Trajectory:
     """Time-ordered samples of the motion with detected events.
 
-    t, x, v are aligned arrays with strictly increasing t. energy_drift is the
-    maximum |H(t) - H(0)| over samples for undamped runs (excluding samples
-    inside the contact layer, where a fixed-step scheme has no meaningful
-    energy resolution); None for damped runs. energy holds H at every sample
-    when the run computed it for energy_drift, else None.
+    t, x, v are aligned arrays with strictly increasing t. Every undamped run
+    of integrate or integrate_critical sets energy, H at every sample, and
+    energy_drift, the maximum |H(t) - H(0)| over the samples outside the
+    contact layer, where a fixed-step scheme has no meaningful energy
+    resolution (over all, if none is outside); both are None otherwise.
     """
 
     t: np.ndarray
@@ -164,13 +164,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def states(self) -> Iterator[PhaseState]:
-        for t, x, v in zip(self.t, self.x, self.v):
-            yield PhaseState(t=float(t), x=float(x), v=float(v))
-
-    def events_of(self, kind: str) -> list[Event]:
-        return [e for e in self.events if e.kind == kind]
 
     def first_event(self, kind: str) -> Event | None:
         return next((e for e in self.events if e.kind == kind), None)
@@ -231,7 +224,9 @@ class GenericForcedModel:
     forcing_g may be singular at the touch-down position a. c1 bounds sup|f|
     and c2 lower-bounds g on the travel range; both claims are validated by
     grid sampling before integration, so f_fn and forcing_g must accept
-    numpy arrays of x and t (use np.sin, not math.sin).
+    numpy arrays of x and t (use np.sin, not math.sin) and act elementwise:
+    each gets x as a column and t as a row of a 1000 x 1000 grid, and its
+    result must broadcast to the grid (a column or a scalar will do).
     """
 
     mu: float
@@ -515,10 +510,7 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
             break
 
         a_new = force(x_new, t_new)
-        if mu:
-            v_new = (vh + 0.5 * dt_eff * a_new) / (1.0 + half_mu * dt_eff)
-        else:
-            v_new = vh + 0.5 * dt_eff * a_new
+        v_new = (vh + 0.5 * dt_eff * a_new) / (1.0 + half_mu * dt_eff)  # / 1.0, exact, at mu = 0
 
         if v > 0.0 >= v_new or v < 0.0 <= v_new:
             t_corner = turn(t, x, v, a, t_new, x_new, v_new, a_new)
@@ -664,16 +656,22 @@ def _run_adaptive(force: Callable[[float, float], float], mu: float, x0: float, 
     return col
 
 
+def _keep_energy(traj: Trajectory, m: ModelParams, keep: np.ndarray | None = None, out: np.ndarray | None = None):
+    # sets traj.energy (read-only) and traj.energy_drift, max |H - H(0)| over the samples keep selects, or
+    # over all of them when keep is None or selects none; that drift is formed in out, the caller's scratch
+    h = traj.energy = energy_series(traj, m)
+    h.setflags(write=False)
+    if keep is not None and np.any(keep):
+        h = out = h[keep]  # a copy
+    drift = np.subtract(h, traj.energy[0], out=out)
+    traj.energy_drift = float(np.max(np.abs(drift, out=drift)))
+
+
 def _finalize(col: _Collector, m: ModelParams | None, surface: float) -> Trajectory:
     t, x, v = col.arrays()
     traj = Trajectory(t=t, x=x, v=v, events=col.events, terminated_by=col.terminated_by)
     if m is not None and m.mu == 0.0:
-        traj.energy = energies = energy_series(traj, m)
-        energies.setflags(write=False)
-        keep = x <= surface - _CONTACT_ZONE * surface
-        drift = energies[keep] if np.any(keep) else energies.copy()
-        drift -= energies[0]
-        traj.energy_drift = float(np.max(np.abs(drift, out=drift)))
+        _keep_energy(traj, m, x <= surface - _CONTACT_ZONE * surface)
     return traj
 
 
@@ -705,8 +703,10 @@ def integrate(
 
     if v0 == 0.0 and a0 == 0.0:
         # exact equilibrium (zero voltage at rest): two-sample trajectory
-        t = np.array([0.0, cfg.t_max])
-        return Trajectory(t=t, x=np.full(2, x0), v=np.zeros(2), energy_drift=0.0 if m.mu == 0.0 else None)
+        col = _Collector()
+        for t in (0.0, cfg.t_max):
+            col.add(t, x0, 0.0)
+        return _finalize(col, m, 1.0)
 
     def force(x: float, t: float) -> float:
         return fast(x)
@@ -839,10 +839,7 @@ def integrate_critical(
     traj = Trajectory(t=t, x=x, v=v, events=events,
                       terminated_by=TERMINATED_TOUCHDOWN if events else TERMINATED_HORIZON)
     if m.mu == 0.0:
-        traj.energy = energies = energy_series(traj, m)
-        energies.setflags(write=False)
-        np.subtract(energies, energies[0], out=tmp)
-        traj.energy_drift = float(np.max(np.abs(tmp, out=tmp)))
+        _keep_energy(traj, m, out=tmp)
     report = CriticalReport(
         x_limit=x0,
         final_gap=float(gap[-1]),
@@ -882,13 +879,15 @@ _BOUND_SLACK = 1e-9
 
 def _validate_generic_bounds(gm: GenericForcedModel, t_max: float) -> None:
     # Sample the claimed sup/inf bounds on a dense grid inside [0, a); reject
-    # models whose constants are violated by more than the slack.
-    xs = np.linspace(0.0, max(gm.a - 1e-6, 0.5 * gm.a), _BOUND_GRID)
-    ts = np.linspace(0.0, t_max, _BOUND_GRID)
-    xg, tg = np.meshgrid(xs, ts, indexing="ij")
+    # models whose constants are violated by more than the slack. The functions
+    # get the grid's axes, x as a column and t as a row.
+    xs = np.linspace(0.0, max(gm.a - 1e-6, 0.5 * gm.a), _BOUND_GRID)[:, None]
+    ts = np.linspace(0.0, t_max, _BOUND_GRID)[None, :]
     try:
-        fv = np.broadcast_to(np.asarray(gm.f_fn(xg, tg), dtype=float), xg.shape)
-        gv = np.broadcast_to(np.asarray(gm.forcing_g(xg, tg), dtype=float), xg.shape)
+        fv = np.asarray(gm.f_fn(xs, ts), dtype=float)
+        np.broadcast_to(fv, (_BOUND_GRID,) * 2)  # a shape check: the extremes are taken over fv and gv as returned
+        gv = np.asarray(gm.forcing_g(xs, ts), dtype=float)
+        np.broadcast_to(gv, (_BOUND_GRID,) * 2)
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"f_fn and forcing_g must accept arrays of x and t: {exc}") from exc
     sup_f = float(np.max(np.abs(fv)))

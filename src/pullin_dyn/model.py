@@ -133,16 +133,6 @@ class PhaseState:
             object.__setattr__(self, "x", 0.0)
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
-    """Outcome of a convexity diagnostic (never raised as an error)."""
-
-    ok: bool
-    margin: float
-    bound: float
-    method: str
-
-
 def normalize_physical(p: PhysicalParams) -> ModelParams:
     """Convert SI device parameters to the dimensionless parameter set.
 
@@ -166,20 +156,8 @@ def energy(x, v, m: ModelParams):
     return 0.5 * v * v + 0.5 * x * x + 0.25 * m.kappa * x**4 - 0.5 * m.v * m.v / (m.x_singular - x)
 
 
-def hamiltonian(s: PhaseState, m: ModelParams) -> float:
-    """Total normalized energy of a phase state."""
-    if s.x >= m.x_singular:
-        raise SingularityError(f"x={s.x} at or beyond singularity x=xi+1={m.x_singular}")
-    return energy(s.x, s.v, m)
-
-
-def force(x: float, m: ModelParams) -> float:
-    """Normalized acceleration -x - kappa x^3 + v^2 / (2 (xi+1-x)^2)."""
-    return make_force(m)(x)
-
-
 def make_force(m: ModelParams) -> Callable[[float], float]:
-    """Return a fast scalar force closure for integrator hot loops.
+    """Return the scalar normalized acceleration x -> -x - kappa x^3 + v^2 / (2 (xi+1-x)^2).
 
     The singularity guard is kept, the dataclass attribute lookups are not.
     """
@@ -248,9 +226,3 @@ def first_integral_rhs(x, m: ModelParams):
         raise SingularityError(f"x at or beyond singularity x=xi+1={xs}")
     return x / (xs - x) * g_of_x(x, m.xi, m.v, m.kappa)
 
-
-def check_convexity(m: ModelParams) -> ConvexityReport:
-    """Strict convexity of the first-integral residual: kappa < convexity_bound(xi), with the margin to it."""
-    bound = convexity_bound(m.xi)
-    margin = bound - m.kappa
-    return ConvexityReport(ok=margin > 0.0, margin=margin, bound=bound, method="closed-form")

@@ -36,7 +36,7 @@ from pullin_dyn import (
     pullin,
     verify_periodicity,
 )
-from pullin_dyn.model import g_second_of_x, make_force
+from pullin_dyn.model import energy, g_second_of_x, make_force
 from pullin_dyn.quadrature import contact_time_by_quadrature, period_by_quadrature
 
 GENERIC_TC_BOUND_MU1 = 1.8414056604369606378  # root of t + exp(-t) = 2
@@ -69,12 +69,17 @@ def test_config_validation():
 
 
 def test_unforced_rest_is_equilibrium():
-    traj = integrate(ModelParams(xi=0.0, v=0.0), IntegratorConfig(t_max=5.0))
+    m = ModelParams(xi=0.0, v=0.0)
+    traj = integrate(m, IntegratorConfig(t_max=5.0))
     assert len(traj) == 2
     assert traj.t[-1] == 5.0
     assert np.all(traj.x == 0.0) and np.all(traj.v == 0.0)
     assert traj.events == []
+    # the equilibrium keeps H like every undamped run: H(x0, 0) at both samples, no drift
+    assert traj.energy is not None and traj.energy.tolist() == [energy(0.0, 0.0, m)] * 2
     assert traj.energy_drift == 0.0
+    damped = integrate(ModelParams(xi=0.0, v=0.0, mu=0.5), IntegratorConfig(t_max=5.0))
+    assert damped.energy is None and damped.energy_drift is None
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +91,8 @@ def periodic_run():
 
 def test_periodic_events_and_positions(periodic_run):
     m, cfg, traj = periodic_run
-    stags = traj.events_of(EVENT_STAGNATION)
-    rets = traj.events_of(EVENT_RETURN)
+    stags = [e for e in traj.events if e.kind == EVENT_STAGNATION]
+    rets = [e for e in traj.events if e.kind == EVENT_RETURN]
     assert len(stags) == 2 and len(rets) == 2
     for ev in stags:
         assert ev.x == pytest.approx(0.2, abs=1e-8)
@@ -314,7 +319,7 @@ def test_damped_run_records_turning_points():
     m = ModelParams(xi=0.0, v=0.4, mu=0.5)
     traj = integrate(m, IntegratorConfig(scheme="symplectic", dt=1e-4, t_max=20.0))
     assert traj.energy_drift is None
-    stags = traj.events_of(EVENT_STAGNATION)
+    stags = [e for e in traj.events if e.kind == EVENT_STAGNATION]
     assert len(stags) >= 2
     assert np.min(traj.x) >= -1e-12
     # dissipation: successive maxima decrease
@@ -638,6 +643,26 @@ def test_generic_model_that_does_not_broadcast_is_rejected_at_once():
     with pytest.raises(InvalidParameterError, match="must accept arrays"):
         integrate_generic(scalar_only, IntegratorConfig(dt=1e-3, t_max=2.0))
     assert time.perf_counter() - start < 0.1
+    # an array result that does not span the sampling grid is rejected the same way
+    wrong_shape = GenericForcedModel(
+        mu=1.0, lam=4.0, f_fn=lambda x, t: np.ones(3), forcing_g=lambda x, t: 1.0, a=1.0, c1=1.0, c2=1.0
+    )
+    with pytest.raises(InvalidParameterError, match="must accept arrays"):
+        integrate_generic(wrong_shape, IntegratorConfig(dt=1e-3, t_max=2.0))
+
+
+def test_generic_bound_violated_at_one_grid_point_is_rejected():
+    # f depends on t and exceeds c1 = 1 only at the grid's corner (x, t) = (x_max, t_max)
+    def f_fn(x, t):
+        return np.where((x == x.max()) & (t == t.max()), 1.5, 0.5 * x * np.cos(t))
+
+    gm = GenericForcedModel(mu=1.0, lam=4.0, f_fn=f_fn, forcing_g=lambda x, t: 1.0 + 0.0 * t, a=1.0, c1=1.0, c2=1.0)
+    with pytest.raises(InvalidParameterError, match=r"^claimed sup\|f\| <= c1=1\.0 violated: sampled sup 1\.5$"):
+        integrate_generic(gm, IntegratorConfig(dt=1e-3, t_max=2.0))
+    below = GenericForcedModel(mu=1.0, lam=4.0, f_fn=lambda x, t: 0.5 * x * np.cos(t),
+                               forcing_g=lambda x, t: np.where(t == t.max(), 0.5, 1.0 + 0.0 * x), a=1.0, c1=1.0, c2=1.0)
+    with pytest.raises(InvalidParameterError, match=r"^claimed inf g >= c2=1\.0 violated: sampled inf 0\.5$"):
+        integrate_generic(below, IntegratorConfig(dt=1e-3, t_max=2.0))
 
 
 def test_generic_tc_bound_mu_zero_formula():
@@ -662,7 +687,7 @@ def test_damped_generic_oscillation_agrees_across_schemes():
         traj, check = integrate_generic(gm, IntegratorConfig(scheme=scheme, dt=1e-3, t_max=30.0))
         assert traj.terminated_by == "horizon"
         assert not check.guaranteed
-        results[scheme] = (len(traj.events_of(EVENT_STAGNATION)), float(traj.x[-1]))
+        results[scheme] = (len([e for e in traj.events if e.kind == EVENT_STAGNATION]), float(traj.x[-1]))
     assert results["symplectic"][0] == results["adaptive"][0]
     assert results["symplectic"][1] == pytest.approx(results["adaptive"][1], abs=1e-5)
 
@@ -683,7 +708,7 @@ def test_undamped_generic_oscillator_passes_origin_corner():
         traj, _ = integrate_generic(gm, IntegratorConfig(scheme=scheme, dt=1e-3, t_max=30.0))
         assert traj.terminated_by == "horizon"
         assert float(np.min(traj.x)) >= -1e-12
-        stags = traj.events_of(EVENT_STAGNATION)
+        stags = [e for e in traj.events if e.kind == EVENT_STAGNATION]
         assert len(stags) >= 6
         tops[scheme] = max(e.x for e in stags)
     assert tops["symplectic"] == pytest.approx(tops["adaptive"], abs=1e-7)
@@ -787,14 +812,6 @@ def test_nonrest_initial_condition_runs():
     traj = integrate(m, IntegratorConfig(scheme="adaptive", t_max=3.0), x0=0.05, v0=0.0)
     assert np.all(np.diff(traj.t) > 0.0)
     assert traj.x[0] == 0.05
-
-
-def test_trajectory_states_are_valid_phase_states():
-    m = ModelParams(xi=0.0, v=0.4)
-    traj = integrate(m, IntegratorConfig(scheme="adaptive", t_max=4.0))
-    states = list(traj.states())
-    assert len(states) == len(traj)
-    assert states[0].x == 0.0 and states[0].v == 0.0
 
 
 def test_energy_series_rejects_non_finite_energy():

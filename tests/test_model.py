@@ -4,20 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pullin_dyn import (
-    ConvexityReport,
+    ConvexityError,
     IntegratorConfig,
     InvalidParameterError,
     ModelParams,
     PhaseState,
     PhysicalParams,
     SingularityError,
-    check_convexity,
     convexity_bound,
     energy_series,
     first_integral_rhs,
-    force,
     g_of_x,
-    hamiltonian,
     integrate,
     normalize_physical,
     pullin,
@@ -83,24 +80,21 @@ def test_normalize_voltage_scaling(c, voltage):
 
 
 def test_hamiltonian_rest_values():
-    rest = PhaseState(t=0.0, x=0.0, v=0.0)
-    assert hamiltonian(rest, ModelParams(xi=0.0, v=0.5)) == pytest.approx(-0.125, abs=1e-16)
-    assert hamiltonian(rest, ModelParams(xi=2.0, v=0.0)) == 0.0
-    assert hamiltonian(rest, ModelParams(xi=1.0, v=1.0)) == pytest.approx(-0.25, abs=1e-16)
+    assert energy(0.0, 0.0, ModelParams(xi=0.0, v=0.5)) == pytest.approx(-0.125, abs=1e-16)
+    assert energy(0.0, 0.0, ModelParams(xi=2.0, v=0.0)) == 0.0
+    assert energy(0.0, 0.0, ModelParams(xi=1.0, v=1.0)) == pytest.approx(-0.25, abs=1e-16)
 
 
 def test_force_values():
-    assert force(0.0, ModelParams(xi=0.0, v=0.5)) == pytest.approx(0.125, abs=1e-16)
-    assert force(0.0, ModelParams(xi=3.0, v=0.0)) == 0.0
-    assert force(0.2, ModelParams(xi=0.0, v=0.4)) == pytest.approx(-0.075, abs=1e-15)
+    assert make_force(ModelParams(xi=0.0, v=0.5))(0.0) == pytest.approx(0.125, abs=1e-16)
+    assert make_force(ModelParams(xi=3.0, v=0.0))(0.0) == 0.0
+    assert make_force(ModelParams(xi=0.0, v=0.4))(0.2) == pytest.approx(-0.075, abs=1e-15)
 
 
 def test_force_and_hamiltonian_reject_singular_displacement():
     m = ModelParams(xi=0.5, v=0.3)
     with pytest.raises(SingularityError):
-        force(1.5, m)
-    with pytest.raises(SingularityError):
-        hamiltonian(PhaseState(t=0.0, x=1.0, v=0.0), ModelParams(xi=0.0, v=0.3))
+        make_force(m)(1.5)
     with pytest.raises(SingularityError):
         first_integral_rhs(1.5, m)
 
@@ -109,11 +103,12 @@ def test_make_force_matches_force():
     m = ModelParams(xi=0.3, v=0.45, kappa=0.7)
     f = make_force(m)
     for x in np.linspace(0.0, 1.0, 17):
-        assert f(float(x)) == force(float(x), m)
+        x = float(x)
+        assert f(x) == -x - m.kappa * x**3 + 0.5 * m.v * m.v / (m.xi + 1.0 - x) ** 2
         rhs = x * g_of_x(x, m.xi, m.v, m.kappa) / (m.xi + 1.0 - x)
         assert first_integral_rhs(x, m) == pytest.approx(rhs, rel=1e-15, abs=1e-15)
     traj = integrate(m, IntegratorConfig(dt=1e-3, t_max=2.0))
-    h = [hamiltonian(s, m) for s in traj.states()]
+    h = [energy(float(x), float(v), m) for x, v in zip(traj.x, traj.v)]
     np.testing.assert_allclose(energy_series(traj, m), h, rtol=1e-15, atol=0.0)
 
 
@@ -148,10 +143,7 @@ def test_first_integral_is_energy_identity(xi, xfrac, kappa, vfrac):
     m = ModelParams(xi=xi, v=v, kappa=kappa)
     x = xfrac * min(1.0, xi + 1.0 - 1e-9)
     lhs = first_integral_rhs(x, m)
-    rhs = -2.0 * (
-        hamiltonian(PhaseState(t=0.0, x=x, v=0.0), m)
-        - hamiltonian(PhaseState(t=0.0, x=0.0, v=0.0), m)
-    )
+    rhs = -2.0 * (energy(x, 0.0, m) - energy(0.0, 0.0, m))
     assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
 
 
@@ -191,9 +183,7 @@ def test_model_params_validation():
 
 
 def test_check_convexity_closed_form():
-    rep = check_convexity(ModelParams(xi=0.0, kappa=0.0))
-    assert isinstance(rep, ConvexityReport)
-    assert rep.ok and rep.method == "closed-form"
-    assert rep.margin == pytest.approx(16.0 / 3.0, rel=1e-15)
-    assert not check_convexity(ModelParams(xi=0.0, kappa=5.4)).ok
     assert convexity_bound(0.0) == pytest.approx(16.0 / 3.0, rel=1e-15)
+    ModelParams(xi=0.0, kappa=5.3).require_convex()
+    with pytest.raises(ConvexityError):
+        ModelParams(xi=0.0, kappa=5.4).require_convex()
