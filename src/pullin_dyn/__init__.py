@@ -63,7 +63,6 @@ from .errors import (
 )
 from .model import (
     ModelParams,
-    PhaseState,
     PhysicalParams,
     convexity_bound,
     first_integral_rhs,

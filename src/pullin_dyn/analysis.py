@@ -286,21 +286,14 @@ def pullin_sensitivity(xi: float, kappa: float) -> tuple[float, float]:
     """Derivatives (d x0 / d kappa, d v_dpi / d kappa) of the pull-in point.
 
     Both are strictly positive: stiffening the cubic spring raises the pull-in
-    position and voltage. At kappa = 0 the analytic forms are 0/0 limits, so
-    one-sided finite differences of the closed-form maps are returned instead.
+    position and voltage. Implicit differentiation of g'(x0) = 0 gives
+    d x0/d kappa = x0^2 (1.5(xi+1) - 2 x0) / g''(x0), and by the envelope
+    theorem d v_dpi/d kappa needs only the kappa-derivative of g at x0. Both
+    hold at kappa = 0, where they are (xi+1)^3/16 and (xi+1)^3.5/32.
     """
-    if kappa == 0.0:
-        step = 1e-6
-        p0, p1, p2 = (pullin(xi, k) for k in (0.0, step, 2.0 * step))
-        # second-order one-sided difference toward kappa -> 0+
-        return (
-            (4.0 * p1.x0 - 3.0 * p0.x0 - p2.x0) / (2.0 * step),
-            (4.0 * p1.v_dpi - 3.0 * p0.v_dpi - p2.v_dpi) / (2.0 * step),
-        )
     x0 = pullin(xi, kappa).x0
     xs = xi + 1.0
-    d_x0 = (2.0 / kappa) * (x0 - 0.5 * xs) / g_second_of_x(x0, xi, kappa)
+    d_x0 = x0 * x0 * (1.5 * xs - 2.0 * x0) / g_second_of_x(x0, xi, kappa)
     h0 = -g_of_x(x0, xi, 0.0, kappa)
     d_v = 0.5 * math.sqrt(xs / h0) * (0.5 * (xs - x0) * x0**3)
     return d_x0, d_v
-

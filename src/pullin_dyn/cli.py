@@ -3,9 +3,10 @@
 Subcommands: pullin, classify, simulate, period, sweep, generic. Flags may be
 seeded from a flat key=value file via --config, output included; each value
 is read by its flag's own type, choices and arity (xi_range = MIN, MAX, STEPS),
-and explicit flags take precedence. The PULLIN_DYN_PRECISION environment
-variable overrides the default output precision. Exit codes: 0 success, 2 invalid input, 3 convexity
-violation, 4 integrator or quadrature failure, 5 regime mismatch.
+and explicit flags take precedence. Each command returns its result, which
+main prints as one JSON line at the output precision. Exit codes: 0 success,
+2 invalid input, 3 convexity violation, 4 integrator or quadrature failure,
+5 regime mismatch.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import io
 import itertools
 import json
 import math
-import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -66,7 +66,6 @@ EXIT_REGIME = 5
 
 DEFAULT_PRECISION = 12
 _MAX_PRECISION = 767  # no double's exact decimal value has more significant digits
-_PRECISION_ENV = "PULLIN_DYN_PRECISION"
 
 _PHYS_KEYS = ("mass", "spring_k", "spring_k3", "area", "gap", "voltage", "d0", "eps_r", "eps0")
 _PHYS_FIELD = {"mass": "m", "spring_k": "k", "spring_k3": "k3"}  # the other flags are named as their field
@@ -77,13 +76,9 @@ _SWEEP_COLUMNS = ("x_s", "t_p", "t_c", "regime", "v_dpi", "x_dpi")
 _CSV_CHUNK_ROWS = 4096
 
 
-def fmt_float(x: float, precision: int) -> str:
-    return format(x, f".{precision}g")
-
-
 def _round_floats(obj, precision: int):
     if isinstance(obj, float):
-        return float(fmt_float(obj, precision))
+        return float(f"%.{precision}g" % obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v, precision) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -91,35 +86,23 @@ def _round_floats(obj, precision: int):
     return obj
 
 
-def _emit_json(obj: dict, precision: int) -> None:
-    print(json.dumps(_round_floats(obj, precision), sort_keys=True))
-
-
-def _config_hash(params: dict) -> str:
-    canon = "\n".join(f"{k}={params[k]}" for k in sorted(params))
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
-
-
-@dataclass
-class RunRecord:
-    """Reproducibility record emitted alongside file outputs.
+def _record(command: str, params: dict, outputs: dict, stages: dict) -> dict:
+    """Reproducibility record of a run that writes a file.
 
     stages holds the seconds of each stage of a run (simulate: resolve_s,
     integrate_s, write_s; sweep: rows_s, write_s), and wall_time_s is their
     sum. Timings never enter config_hash.
     """
-
-    command: str
-    params: dict
-    version: str
-    config_hash: str
-    wall_time_s: float
-    outputs: dict
-    stages: dict = field(default_factory=dict)
-
-    def to_json(self, precision: int = DEFAULT_PRECISION) -> str:
-        # _round_floats copies every dict and list, so asdict's deep copy is not needed
-        return json.dumps(_round_floats(vars(self), precision), sort_keys=True)
+    canon = "\n".join(f"{k}={params[k]}" for k in sorted(params))
+    return {
+        "command": command,
+        "params": params,
+        "version": __version__,
+        "config_hash": hashlib.sha256(canon.encode()).hexdigest()[:12],
+        "wall_time_s": sum(stages.values()),
+        "outputs": outputs,
+        "stages": stages,
+    }
 
 
 def _apply_config(args: argparse.Namespace, path: str) -> None:
@@ -172,20 +155,11 @@ def _require(args: argparse.Namespace, *keys: str) -> None:
 
 
 def _resolve_precision(args: argparse.Namespace) -> int:
-    if hasattr(args, "precision"):
-        precision, source = args.precision, "--precision"
-    else:
-        env = os.environ.get(_PRECISION_ENV)
-        if env is None:
-            return DEFAULT_PRECISION
-        try:
-            precision, source = int(env), _PRECISION_ENV
-        except ValueError as exc:
-            raise InvalidParameterError(f"bad {_PRECISION_ENV}: {env!r}") from exc
+    precision = getattr(args, "precision", DEFAULT_PRECISION)
     if precision < 0:
-        raise InvalidParameterError(f"{source} must be >= 0, got {precision}")
+        raise InvalidParameterError(f"--precision must be >= 0, got {precision}")
     if precision > _MAX_PRECISION:
-        raise InvalidParameterError(f"{source} must be <= {_MAX_PRECISION}, got {precision}")
+        raise InvalidParameterError(f"--precision must be <= {_MAX_PRECISION}, got {precision}")
     return precision
 
 
@@ -291,25 +265,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_pullin(args: argparse.Namespace) -> int:
-    precision = _resolve_precision(args)
+def cmd_pullin(args: argparse.Namespace, precision: int) -> dict:
     m = _resolve_model(args)
     res = pullin(m.xi, m.kappa)  # raises ConvexityError for a non-convex kappa
-    _emit_json(
-        {
-            "v_dpi": res.v_dpi,
-            "x_dpi": res.x_dpi,
-            "xi": res.xi,
-            "kappa": res.kappa,
-            "convexity_ok": True,
-        },
-        precision,
-    )
-    return EXIT_OK
+    return {
+        "v_dpi": res.v_dpi,
+        "x_dpi": res.x_dpi,
+        "xi": res.xi,
+        "kappa": res.kappa,
+        "convexity_ok": True,
+    }
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    precision = _resolve_precision(args)
+def cmd_classify(args: argparse.Namespace, precision: int) -> dict:
     m = _resolve_model(args)
     cls = classify_regime(m, eps_v=getattr(args, "eps_v", 1e-12))
     out = {
@@ -327,19 +295,18 @@ def cmd_classify(args: argparse.Namespace) -> int:
     else:
         out["a_sq"] = cls.a_sq
         out["tc_bound"] = cls.tc_bound
-    _emit_json(out, precision)
-    return EXIT_OK
+    return out
 
 
 def _write_trajectory_csv(
     path: str, traj: Trajectory, m: ModelParams, cfg: IntegratorConfig, precision: int
 ) -> None:
-    # Each chunk's cells are "%.{p}g" % x, which is format(x, ".{p}g"): the text of fmt_float, which needs no
-    # csv quoting. Chunks bound the text and stacked copy held. The text module is imported here, so commands
-    # that write no trajectory neither compile nor load it.
+    # Each cell, event footers included, is "%.{p}g" % x, which needs no csv quoting. Chunks bound the text
+    # and stacked copy held. The text module is imported here, so commands that write no trajectory neither
+    # compile nor load it.
     from ._gtext import csv_rows
 
-    with_h = m.mu == 0.0
+    text, with_h = f"%.{precision}g", m.mu == 0.0
     columns = [traj.t, traj.x, traj.v] + ([traj.energy] if with_h else [])  # every undamped run keeps H
     with open(path, "w", newline="") as fh:
         fh.write(f"# pullin-dyn simulate version={__version__}\n")
@@ -352,13 +319,12 @@ def _write_trajectory_csv(
         for i in range(0, len(traj), _CSV_CHUNK_ROWS):
             fh.write(csv_rows(np.column_stack([c[i : i + _CSV_CHUNK_ROWS] for c in columns]), precision))
         for ev in traj.events:
-            fh.write(f"# event,{ev.kind},{fmt_float(ev.t, precision)},{fmt_float(ev.x, precision)}\n")
+            fh.write(f"# event,{ev.kind},{text % ev.t},{text % ev.x}\n")
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace, precision: int) -> dict:
     started = time.perf_counter()
     _require(args, "output")
-    precision = _resolve_precision(args)
     m = _resolve_model(args)
     cfg = _resolve_cfg(args)
     resolved = time.perf_counter()
@@ -370,28 +336,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "integrate_s": integrated - resolved,
         "write_s": time.perf_counter() - integrated,
     }
-    params = {"xi": m.xi, "v": m.v, "kappa": m.kappa, "mu": m.mu, **asdict(cfg)}
-    record = RunRecord(
-        command="simulate",
-        params=params,
-        version=__version__,
-        config_hash=_config_hash(params),
-        wall_time_s=sum(stages.values()),
-        outputs={
+    return _record(
+        "simulate",
+        {"xi": m.xi, "v": m.v, "kappa": m.kappa, "mu": m.mu, **asdict(cfg)},
+        {
             "samples": len(traj),
             "terminated_by": traj.terminated_by,
             "energy_drift": traj.energy_drift,
             "events": [[e.kind, e.t, e.x] for e in traj.events],
             "path": args.output,
         },
-        stages=stages,
+        stages,
     )
-    print(record.to_json(precision))
-    return EXIT_OK
 
 
-def cmd_period(args: argparse.Namespace) -> int:
-    precision = _resolve_precision(args)
+def cmd_period(args: argparse.Namespace, precision: int) -> dict:
     m = _resolve_model(args)
     method = getattr(args, "method", "quad")
     cls = classify_regime(m)
@@ -414,16 +373,13 @@ def cmd_period(args: argparse.Namespace) -> int:
         ret = traj.first_event("return")
         ode_result = {"t_s": stag.t, "t_p": ret.t if ret is not None else 2.0 * stag.t}
     if method == "both":
-        out = {
+        return {
             "method": method,
             "quad": quad_result,
             "ode": ode_result,
             "discrepancy": abs(quad_result["t_p"] - ode_result["t_p"]) / quad_result["t_p"],
         }
-    else:
-        out = {"method": method, **(ode_result if method == "ode" else quad_result)}
-    _emit_json(out, precision)
-    return EXIT_OK
+    return {"method": method, **(ode_result if method == "ode" else quad_result)}
 
 
 def _axis(args: argparse.Namespace, name: str) -> list[float]:
@@ -510,8 +466,8 @@ def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: 
 
 
 def _write_sweep(path: str, spec: dict, table: dict[str, list]) -> None:
-    # Cells are floats, strings or None, and each distinct cell's text is made once: a float's is "%.{p}g" % x
-    # (fmt_float's text), in JSON the repr of that rounded float or JSON's name for it, as json.dumps writes
+    # Cells are floats, strings or None, and each distinct cell's text is made once: a float's is "%.{p}g" % x,
+    # in JSON the repr of that rounded float or JSON's name for it, as json.dumps writes
     # _round_floats's value; other cells' as json.dumps or csv.writer write them. One % call on the row
     # template, repeated per row, writes all rows; JSON rows take the sorted keys, as json.dumps does.
     precision, as_json = spec["precision"], spec["format"] == "json"
@@ -550,8 +506,7 @@ def _write_sweep(path: str, spec: dict, table: dict[str, list]) -> None:
             fh.write((",".join(["%s"] * len(keys)) + "\n") * n_rows % tuple(texts))
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    precision = _resolve_precision(args)
+def cmd_sweep(args: argparse.Namespace, precision: int) -> dict:
     _require(args, "v_min", "v_max", "v_steps", "output")
     v_min, v_max, v_steps = _finite(args.v_min, "--v-min"), _finite(args.v_max, "--v-max"), args.v_steps
     if not (v_min < v_max and v_steps >= 2):
@@ -575,22 +530,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _write_sweep(args.output, spec, table)
 
     stages = {"rows_s": rows_done - started, "write_s": time.perf_counter() - rows_done}
-    params = {**spec, "output": args.output}
-    record = RunRecord(
-        command="sweep",
-        params=params,
-        version=__version__,
-        config_hash=_config_hash({k: str(v) for k, v in params.items()}),
-        wall_time_s=sum(stages.values()),
-        outputs={"rows": len(table["error"]), "path": args.output},
-        stages=stages,
+    return _record(
+        "sweep", {**spec, "output": args.output}, {"rows": len(table["error"]), "path": args.output}, stages
     )
-    print(record.to_json(precision))
-    return EXIT_OK
 
 
-def cmd_generic(args: argparse.Namespace) -> int:
-    precision = _resolve_precision(args)
+def cmd_generic(args: argparse.Namespace, precision: int) -> dict:
     a = getattr(args, "a", 1.0)
     c2 = getattr(args, "c2", 1.0 / (2.0 * a * a) if a * a else 0.0)  # the model rejects a = 0
     if not hasattr(args, "c2") and 0.0 < a < math.inf and not 0.0 < c2 < math.inf:
@@ -606,19 +551,15 @@ def cmd_generic(args: argparse.Namespace) -> int:
     )
     cfg = _resolve_cfg(args)
     traj, check = integrate_generic(gm, cfg)
-    _emit_json(
-        {
-            "guaranteed": check.guaranteed,
-            "margin": check.margin,
-            "t_c": check.t_c,
-            "tc_bound": check.tc_bound,
-            "monotone": check.monotone,
-            "lower_bound_ok": check.lower_bound_ok,
-            "terminated_by": traj.terminated_by,
-        },
-        precision,
-    )
-    return EXIT_OK
+    return {
+        "guaranteed": check.guaranteed,
+        "margin": check.margin,
+        "t_c": check.t_c,
+        "tc_bound": check.tc_bound,
+        "monotone": check.monotone,
+        "lower_bound_ok": check.lower_bound_ok,
+        "terminated_by": traj.terminated_by,
+    }
 
 
 _DISPATCH = {
@@ -637,7 +578,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if hasattr(args, "config"):
             _apply_config(args, args.config)
-        return _DISPATCH[args.command](args)
+        precision = _resolve_precision(args)
+        result = _DISPATCH[args.command](args, precision)
+        print(json.dumps(_round_floats(result, precision), sort_keys=True))
+        return EXIT_OK
     except ConvexityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVEXITY

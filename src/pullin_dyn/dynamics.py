@@ -56,7 +56,6 @@ from .errors import (
 )
 from .model import (
     ModelParams,
-    PhaseState,
     deflate,
     g_coeffs,
     make_force,
@@ -71,6 +70,10 @@ EVENT_RETURN = "return"
 
 TERMINATED_HORIZON = "horizon"
 TERMINATED_TOUCHDOWN = "touchdown"
+
+# A start displacement in [-NEGATIVE_X_CLAMP, 0) is snapped to 0; anywhere
+# else a negative one is rejected as a caller's error, not rounding noise.
+NEGATIVE_X_CLAMP = 1e-12
 
 # Width of the contact layer (relative to the contact surface) inside which
 # fixed steps are halved and energy diagnostics are not meaningful.
@@ -688,12 +691,16 @@ def integrate(
     extrapolates the residual travel beyond the trigger distance. Initial
     conditions other than (0, 0) are accepted but lie outside the regime
     guarantees documented for the rest start; origin projection and its
-    displacement floor are then disabled.
+    displacement floor are then disabled. A start that is not finite, lies
+    below -NEGATIVE_X_CLAMP or at or beyond the contact trigger is rejected.
     """
     cfg = cfg or IntegratorConfig()
-    start = PhaseState(t=0.0, x=x0, v=v0)
-    x0, v0 = start.x, start.v
-    if x0 >= 1.0 - cfg.contact_epsilon:
+    if not (math.isfinite(x0) and math.isfinite(v0)):
+        raise InvalidParameterError(f"initial state x0={x0}, v0={v0} is not finite")
+    if x0 < -NEGATIVE_X_CLAMP:
+        raise InvalidParameterError(f"initial displacement x0={x0} below 0")
+    x0 = max(x0, 0.0)  # rounding noise below 0 is snapped to the origin
+    if x0 >= 1.0 - cfg.contact_epsilon:  # beyond the contact surface too
         raise InvalidParameterError(
             f"initial displacement x0={x0} already at the contact trigger"
         )
@@ -892,11 +899,11 @@ def _validate_generic_bounds(gm: GenericForcedModel, t_max: float) -> None:
         raise InvalidParameterError(f"f_fn and forcing_g must accept arrays of x and t: {exc}") from exc
     sup_f = float(np.max(np.abs(fv)))
     inf_g = float(np.min(gv))
-    if sup_f > gm.c1 + _BOUND_SLACK:
+    if not sup_f <= gm.c1 + _BOUND_SLACK:  # NaN fails too
         raise InvalidParameterError(
             f"claimed sup|f| <= c1={gm.c1} violated: sampled sup {sup_f}"
         )
-    if inf_g < gm.c2 - _BOUND_SLACK:
+    if not inf_g >= gm.c2 - _BOUND_SLACK:
         raise InvalidParameterError(
             f"claimed inf g >= c2={gm.c2} violated: sampled inf {inf_g}"
         )

@@ -18,10 +18,6 @@ from .errors import ConvexityError, InvalidParameterError, SingularityError
 
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
 
-# Initial states with x in [-NEGATIVE_X_CLAMP, 0) are snapped to 0; anywhere
-# else a negative displacement is treated as an integrator bug, not noise.
-NEGATIVE_X_CLAMP = 1e-12
-
 # The statics form (xi+1)^3 (v_dpi^2 = (xi+1)^3/4 at kappa = 0) and v^2, which
 # overflow a little above 1e102 and 1e154.
 STATICS_MAX = 1e100
@@ -109,28 +105,6 @@ class ModelParams:
             raise ConvexityError(
                 f"kappa={self.kappa} violates kappa < 16/(3(xi+1)^2) = {bound}"
             )
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """One point (t, x, v) of the normalized motion.
-
-    Admissible displacements satisfy 0 <= x <= 1. A displacement above 1 is a
-    hard error; a negative one within the clamp band is snapped to 0 here and
-    only here.
-    """
-
-    t: float
-    x: float
-    v: float
-
-    def __post_init__(self) -> None:
-        if self.x > 1.0:
-            raise InvalidParameterError(f"displacement x={self.x} beyond contact surface x=1")
-        if self.x < 0.0:
-            if self.x < -NEGATIVE_X_CLAMP:
-                raise InvalidParameterError(f"displacement x={self.x} below 0")
-            object.__setattr__(self, "x", 0.0)
 
 
 def normalize_physical(p: PhysicalParams) -> ModelParams:

@@ -286,6 +286,14 @@ def test_pullin_sensitivity_kappa_zero_limit():
     assert d_v == pytest.approx(an_v, rel=1e-3)
 
 
+@pytest.mark.parametrize("xi", [0.0, 0.5, 2.0])
+def test_pullin_sensitivity_kappa_zero_closed_forms(xi):
+    # the kappa = 0 pull-in point (xi+1)/2 with v_dpi = (xi+1)^1.5/2 moves at these exact rates
+    d_x0, d_v = pullin_sensitivity(xi, 0.0)
+    assert d_x0 == pytest.approx((xi + 1.0) ** 3 / 16.0, rel=1e-14)
+    assert d_v == pytest.approx((xi + 1.0) ** 3.5 / 32.0, rel=1e-14)
+
+
 def test_pullin_converges_to_linear_as_kappa_vanishes():
     prev_x0, prev_v = np.inf, np.inf
     for kappa in (0.1, 0.01, 0.001):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from pullin_dyn import (
     pullin,
     quadrature,
 )
-from pullin_dyn.cli import _CSV_CHUNK_ROWS, RunRecord, fmt_float, main
+from pullin_dyn.cli import _CSV_CHUNK_ROWS, main
 
 
 def run_cli(capsys, *argv):
@@ -295,7 +296,7 @@ def test_simulate_rows_increasing_and_roundtrip(capsys, tmp_path):
     assert all(b > a for a, b in zip(ts, ts[1:]))
     for row in data[:50]:
         for cell in row.split(","):
-            assert fmt_float(float(cell), 12) == cell
+            assert "%.12g" % float(cell) == cell
 
 
 def test_period_both_methods_agree(capsys):
@@ -751,7 +752,6 @@ def _untimed(stdout):
 def test_reused_parser_holds_no_state(capsys, tmp_path, monkeypatch):
     assert cli.build_parser() is cli.build_parser()
     monkeypatch.setenv("COLUMNS", "80")  # the usage text of an argparse error wraps to it
-    monkeypatch.delenv("PULLIN_DYN_PRECISION", raising=False)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("kappa = 0.3\nformat = json\nprecision = 5\n")
     out = str(tmp_path / "sweep.out")
@@ -950,36 +950,22 @@ def test_missing_config_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_precision_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("PULLIN_DYN_PRECISION", "4")
-    out_text = None
-    code = main(["pullin", "--xi", "0", "--kappa", "1"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert '"v_dpi": 0.5339' in captured.out
-    monkeypatch.setenv("PULLIN_DYN_PRECISION", "12")
-    code = main(["pullin", "--xi", "0", "--kappa", "1"])
-    captured = capsys.readouterr()
-    assert '"v_dpi": 0.533887326355' in captured.out
-
-
-def test_precision_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("PULLIN_DYN_PRECISION", "4")
-    out = run_cli(capsys, "pullin", "--xi", "0", "--kappa", "1", "--precision", "8")
-    assert '"v_dpi": 0.53388733' in out[1]
+def test_precision_env_is_ignored(capsys, monkeypatch):
+    # the output precision is set by --precision or a config file's precision = N, never by the environment
+    argv = ["pullin", "--xi", "0", "--kappa", "1"]
+    monkeypatch.delenv("PULLIN_DYN_PRECISION", raising=False)
+    default, flagged = run_cli(capsys, *argv), run_cli(capsys, *argv, "--precision", "8")
+    assert '"v_dpi": 0.533887326355' in default[1] and '"v_dpi": 0.53388733' in flagged[1]
+    for value in ("4", "-1", "3000000000", "abc"):
+        monkeypatch.setenv("PULLIN_DYN_PRECISION", value)
+        assert run_cli(capsys, *argv) == default
+        assert run_cli(capsys, *argv, "--precision", "8") == flagged
 
 
 def test_negative_precision_flag_exits_2(capsys):
     code, out, err = run_cli(capsys, "pullin", "--xi", "0", "--precision", "-1")
     assert code == 2 and out == ""
     assert "--precision" in err
-
-
-def test_negative_precision_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("PULLIN_DYN_PRECISION", "-1")
-    code, out, err = run_cli(capsys, "pullin", "--xi", "0")
-    assert code == 2 and out == ""
-    assert "PULLIN_DYN_PRECISION" in err
 
 
 def test_oversized_precision_flag_exits_2(capsys, tmp_path):
@@ -990,13 +976,6 @@ def test_oversized_precision_flag_exits_2(capsys, tmp_path):
     )
     assert code == 2 and out == ""
     assert "--precision" in err and "767" in err
-
-
-def test_oversized_precision_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("PULLIN_DYN_PRECISION", "3000000000")
-    code, out, err = run_cli(capsys, "pullin", "--xi", "0")
-    assert code == 2 and out == ""
-    assert "PULLIN_DYN_PRECISION" in err and "767" in err
 
 
 @pytest.mark.parametrize(
@@ -1042,19 +1021,31 @@ def test_fmt_float_roundtrip_idempotent():
     values = [0.1, 1.0 / 3.0, 7.132198208919252, 1e-15, 123456.789, 5.0e9, 2.0]
     for p in (4, 8, 12, 17):
         for x in values:
-            s = fmt_float(x, p)
-            assert fmt_float(float(s), p) == s
+            s = f"%.{p}g" % x
+            assert f"%.{p}g" % float(s) == s
 
 
-def test_run_record_roundtrip():
-    rec = RunRecord(
-        command="simulate",
-        params={"xi": 0.0, "v": 0.4},
-        version="0.1.0",
-        config_hash="abc123def456",
-        wall_time_s=0.375,
-        outputs={"samples": 10},
-        stages={"resolve_s": 0.0625, "integrate_s": 0.125, "write_s": 0.1875},
-    )
-    back = RunRecord(**json.loads(rec.to_json()))
-    assert back == rec
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--xi", "0", "--v", "0.4", "--dt", "1e-3", "--t-max", "2"],
+        ["sweep", "--xi", "0", "--v-min", "0.1", "--v-max", "0.7", "--v-steps", "5"],
+    ],
+    ids=["simulate", "sweep"],
+)
+def test_run_record_keys(capsys, tmp_path, monkeypatch, argv):
+    # clocks of different rates change a record's timings, never its keys or config_hash
+    records = []
+    for tick in (0.25, 0.75):
+        clock = iter(np.arange(100) * tick)
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: float(next(clock))))
+        records.append(run_json(capsys, *argv, "--output", str(tmp_path / "out.csv")))
+    a, b = records
+    keys = {"command", "params", "version", "config_hash", "wall_time_s", "outputs", "stages"}
+    assert set(a) == set(b) == keys
+    assert a["command"] == b["command"] == argv[0] and a["version"] == pullin_dyn.__version__
+    assert a["wall_time_s"] * 3 == b["wall_time_s"] > 0.0
+    assert a["config_hash"] == b["config_hash"]
+    assert {k: v for k, v in a.items() if k not in ("wall_time_s", "stages")} == {
+        k: v for k, v in b.items() if k not in ("wall_time_s", "stages")
+    }

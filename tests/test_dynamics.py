@@ -665,6 +665,18 @@ def test_generic_bound_violated_at_one_grid_point_is_rejected():
         integrate_generic(below, IntegratorConfig(dt=1e-3, t_max=2.0))
 
 
+def test_generic_nan_f_or_g_fails_the_bound_check():
+    # np.max and np.min return NaN for a grid with a NaN, and a NaN passed "sup_f > c1 + slack" as in bounds
+    nan_f = GenericForcedModel(mu=1.0, lam=4.0, f_fn=lambda x, t: np.where(x > 0.5, np.nan, x),
+                               forcing_g=lambda x, t: 1.0 / (2.0 * (1.0 - x) ** 2), a=1.0, c1=1.0, c2=0.5)
+    with pytest.raises(InvalidParameterError, match=r"^claimed sup\|f\| <= c1=1\.0 violated: sampled sup nan$"):
+        integrate_generic(nan_f, IntegratorConfig(dt=1e-3, t_max=2.0))
+    nan_g = GenericForcedModel(mu=1.0, lam=4.0, f_fn=lambda x, t: x,
+                               forcing_g=lambda x, t: np.where(t > 1.0, np.nan, 1.0 + 0.0 * x), a=1.0, c1=1.0, c2=0.5)
+    with pytest.raises(InvalidParameterError, match=r"^claimed inf g >= c2=0\.5 violated: sampled inf nan$"):
+        integrate_generic(nan_g, IntegratorConfig(dt=1e-3, t_max=2.0))
+
+
 def test_generic_tc_bound_mu_zero_formula():
     assert generic_tc_bound(0.0, 1.0, 1.0) == pytest.approx(math.sqrt(2.0), rel=1e-14)
     with pytest.raises(InvalidParameterError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from pullin_dyn import (
     IntegratorConfig,
     InvalidParameterError,
     ModelParams,
-    PhaseState,
     PhysicalParams,
     SingularityError,
     convexity_bound,
@@ -158,12 +159,14 @@ def test_first_integral_kappa_zero_matches_linear_form(xi, xfrac, v):
 
 
 def test_phase_state_bounds():
-    with pytest.raises(InvalidParameterError):
-        PhaseState(t=0.0, x=1.0 + 1e-9, v=0.0)
-    with pytest.raises(InvalidParameterError):
-        PhaseState(t=0.0, x=-1e-11, v=0.0)
-    clamped = PhaseState(t=0.0, x=-1e-13, v=0.0)
-    assert clamped.x == 0.0
+    # integrate rejects a start beyond the contact surface, below the clamp band or not finite before a step,
+    # and snaps one inside the band to the origin
+    m = ModelParams(xi=0.0, v=0.4)
+    for x0, v0 in [(1.0 + 1e-9, 0.0), (-1e-11, 0.0), (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+                   (0.1, math.nan), (0.1, math.inf), (0.1, -math.inf)]:
+        with pytest.raises(InvalidParameterError):
+            integrate(m, IntegratorConfig(dt=1e-3, t_max=10.0), x0=x0, v0=v0)
+    assert integrate(m, IntegratorConfig(dt=1e-3, t_max=1.0), x0=-1e-13).x[0] == 0.0
 
 
 def test_model_params_validation():
