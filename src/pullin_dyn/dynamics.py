@@ -57,6 +57,7 @@ from .errors import (
 from .model import (
     ModelParams,
     deflate,
+    force_constants,
     g_coeffs,
     make_force,
 )
@@ -418,7 +419,7 @@ def _last_float(holds: Callable[[float], bool], lo: float, hi: float) -> float:
 
 
 def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float, v0: float, cfg: IntegratorConfig,
-                    surface: float, project_origin: bool) -> _Collector:
+                    surface: float, project_origin: bool, consts: tuple | None = None) -> _Collector:
     """Staggered position-velocity scheme with step halving near contact.
 
     The damping term enters the half kick explicitly and the full kick
@@ -435,6 +436,11 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
     inner loop before it commits anything and takes the general body. Both
     do the same arithmetic in the same order and share the turn helper, so
     the results are bit for bit those of the general body alone.
+
+    Given the actuator's force constants (model.force_constants), the inner
+    loop evaluates make_force's expression inline (x <= x_lim < 1 <= xi + 1
+    there, so its guard never fires) and calls no function per step; every
+    other step, and every step of a run given no constants, calls force.
     """
     _check_step_budget(cfg.t_max, cfg.dt)
     col = _Collector()
@@ -450,6 +456,7 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
     col.add(t, x, v)
     half_mu = 0.5 * mu
     half_dt = 0.5 * dt_base
+    xs, kappa, v2h = consts or (0.0, 0.0, 0.0)
     # both tests are monotone in their variable; -inf when no full step or no x qualifies, and
     # t_lim = -inf sends every step of a damped run to the general body
     t_lim = _last_float(lambda tq: tq + dt_base <= t_max and tq < t_max, 0.0, t_max) if not mu else -math.inf
@@ -470,7 +477,7 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
                 if x_new > x_lim:
                     break
                 t_new = t + dt_base
-                a_new = force(x_new, t_new)
+                a_new = -x_new - kappa * x_new**3 + v2h / (xs - x_new) ** 2 if consts else force(x_new, t_new)
                 v_new = vh + half_dt * a_new
                 if (v > 0.0 and v_new <= 0.0) or (v < 0.0 and v_new >= 0.0):  # the body's test, unchained: cheaper
                     t_corner = turn(t, x, v, a, t_new, x_new, v_new, a_new)
@@ -719,7 +726,7 @@ def integrate(
         return fast(x)
 
     col = (_run_adaptive(force, m.mu, x0, v0, cfg, 1.0, m.x_singular, project) if cfg.scheme == SCHEME_ADAPTIVE
-           else _run_symplectic(force, m.mu, x0, v0, cfg, 1.0, project))
+           else _run_symplectic(force, m.mu, x0, v0, cfg, 1.0, project, force_constants(m)))
     return _finalize(col, m, 1.0)
 
 

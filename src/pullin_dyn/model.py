@@ -130,14 +130,17 @@ def energy(x, v, m: ModelParams):
     return 0.5 * v * v + 0.5 * x * x + 0.25 * m.kappa * x**4 - 0.5 * m.v * m.v / (m.x_singular - x)
 
 
+def force_constants(m: ModelParams) -> tuple[float, float, float]:
+    """(xi+1, kappa, v^2/2): the constants of the normalized force, as make_force and the fixed-step loop use them."""
+    return m.x_singular, m.kappa, 0.5 * m.v * m.v
+
+
 def make_force(m: ModelParams) -> Callable[[float], float]:
     """Return the scalar normalized acceleration x -> -x - kappa x^3 + v^2 / (2 (xi+1-x)^2).
 
     The singularity guard is kept, the dataclass attribute lookups are not.
     """
-    xs = m.x_singular
-    kappa = m.kappa
-    v2h = 0.5 * m.v * m.v
+    xs, kappa, v2h = force_constants(m)
 
     def f(x: float) -> float:
         if x >= xs:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -152,6 +153,28 @@ def test_simulate_over_step_budget_exits_4(capsys, tmp_path):
     )
     assert time.perf_counter() - started < 0.1
     assert code == 4 and "budget of 10000000 fixed steps" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, rows",
+    [
+        (("--xi", "0", "--v-steps", str(10**12)), 10**12),
+        (("--xi-range", "0", "1", str(10**9), "--v-steps", "2"), 2 * 10**9),
+        (("--xi-range", "0", "1", "100", "--kappa-range", "0", "0.1", "100", "--v-steps", "101"), 1_010_000),
+    ],
+)
+def test_sweep_over_row_budget_exits_2(capsys, tmp_path, grid, rows):
+    # the row count comes from the step counts, so no axis is built before the check
+    path = tmp_path / "never.csv"
+    tracemalloc.start()
+    started = time.perf_counter()
+    code, _, err = run_cli(capsys, "sweep", *grid, "--v-min", "0.1", "--v-max", "0.6", "--output", str(path))
+    elapsed = time.perf_counter() - started
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 2 and err == f"error: the sweep grid has {rows} rows, above the budget of 1000000 rows\n"
+    assert elapsed < 0.1 and peak < 100_000
     assert not path.exists()
 
 

@@ -36,7 +36,7 @@ from pullin_dyn import (
     pullin,
     verify_periodicity,
 )
-from pullin_dyn.model import energy, g_second_of_x, make_force
+from pullin_dyn.model import energy, force_constants, g_second_of_x, make_force
 from pullin_dyn.quadrature import contact_time_by_quadrature, period_by_quadrature
 
 GENERIC_TC_BOUND_MU1 = 1.8414056604369606378  # root of t + exp(-t) = 2
@@ -844,8 +844,8 @@ def test_generic_trigger_at_or_below_start_rejected(scheme):
         integrate_generic(gm, IntegratorConfig(scheme=scheme, contact_epsilon=1e-6, t_max=1.0))
 
 
-def _reference_run_symplectic(force, mu, x0, v0, cfg, surface, project_origin):
-    # the fixed-step loop as one plain body, every test on every step
+def _reference_run_symplectic(force, mu, x0, v0, cfg, surface, project_origin, consts):
+    # the fixed-step loop as one plain body, every test on every step, calling force for every step
     dynamics._check_step_budget(cfg.t_max, cfg.dt)
     col = dynamics._Collector()
     dt_base = cfg.dt
@@ -908,30 +908,34 @@ def _reference_run_symplectic(force, mu, x0, v0, cfg, surface, project_origin):
     return col
 
 
-def _actuator_force(xi, v, mu=0.0):
-    fast = make_force(ModelParams(xi=xi, v=v, mu=mu))
-    return lambda x, t: fast(x)
+def _actuator(xi, v, mu=0.0, kappa=0.0):
+    # the force callable and, for the side under test, the constants that integrate passes with it
+    m = ModelParams(xi=xi, v=v, kappa=kappa, mu=mu)
+    fast = make_force(m)
+    return lambda x, t: fast(x), force_constants(m)
 
 
-# (force, mu, x0, v0, dt, t_max, contact_epsilon, surface, project_origin)
+# (force, consts, mu, x0, v0, dt, t_max, contact_epsilon, surface, project_origin)
 _LOOP_CASES = {
-    "corners-and-turns": (_actuator_force(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 12.0, 1e-9, 1.0, True),
-    "zone-and-trigger": (_actuator_force(0.0, 0.6), 0.0, 0.0, 0.0, 1e-3, 5.0, 1e-9, 1.0, True),
-    "wide-trigger": (_actuator_force(0.3, 1.0), 0.0, 0.0, 0.0, 1e-3, 5.0, 9.99e-4, 1.0, True),
-    "partial-last-step": (_actuator_force(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 2.00037, 1e-9, 1.0, True),
-    "t_max-multiple-of-dt": (_actuator_force(0.0, 0.4), 0.0, 0.0, 0.0, 3e-4, 1000 * 3e-4, 1e-9, 1.0, True),
-    "t_max-equals-dt": (_actuator_force(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 1e-3, 1e-9, 1.0, True),
-    "t_max-below-dt": (_actuator_force(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 0.3e-3, 1e-9, 1.0, True),
-    "damped-turns": (_actuator_force(0.0, 0.4, mu=0.5), 0.5, 0.0, 0.0, 1e-3, 8.0, 1e-9, 1.0, False),
-    "damped-touchdown": (_actuator_force(0.0, 0.6, mu=0.5), 0.5, 0.0, 0.0, 1e-3, 5.0, 1e-9, 1.0, False),
-    "away-from-rest": (_actuator_force(0.0, 0.3), 0.0, 0.2, -0.6, 1e-3, 6.0, 1e-9, 1.0, False),
-    "negative-turn-fails": (lambda x, t: -x - 0.1, 0.0, 0.0, 0.0, 1e-3, 5.0, 1e-9, 1.0, True),
+    "corners-and-turns": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 12.0, 1e-9, 1.0, True),
+    # x reaches 0.32, where x**3 and x * x * x give forces that differ in the last bit (at v = 0.3 they do not)
+    "cubic-spring": (*_actuator(0.4, 0.7, kappa=0.2), 0.0, 0.0, 0.0, 1e-3, 12.0, 1e-9, 1.0, True),
+    "zone-and-trigger": (*_actuator(0.0, 0.6), 0.0, 0.0, 0.0, 1e-3, 5.0, 1e-9, 1.0, True),
+    "wide-trigger": (*_actuator(0.3, 1.0), 0.0, 0.0, 0.0, 1e-3, 5.0, 9.99e-4, 1.0, True),
+    "partial-last-step": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 2.00037, 1e-9, 1.0, True),
+    "t_max-multiple-of-dt": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 3e-4, 1000 * 3e-4, 1e-9, 1.0, True),
+    "t_max-equals-dt": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 1e-3, 1e-9, 1.0, True),
+    "t_max-below-dt": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 0.3e-3, 1e-9, 1.0, True),
+    "damped-turns": (*_actuator(0.0, 0.4, mu=0.5), 0.5, 0.0, 0.0, 1e-3, 8.0, 1e-9, 1.0, False),
+    "damped-touchdown": (*_actuator(0.0, 0.6, mu=0.5), 0.5, 0.0, 0.0, 1e-3, 5.0, 1e-9, 1.0, False),
+    "away-from-rest": (*_actuator(0.0, 0.3), 0.0, 0.2, -0.6, 1e-3, 6.0, 1e-9, 1.0, False),
+    "negative-turn-fails": (lambda x, t: -x - 0.1, None, 0.0, 0.0, 0.0, 1e-3, 5.0, 1e-9, 1.0, True),
     # the trigger 1e-8 lies far below the zone edge 0.999e-7
-    "tiny-generic-surface": (lambda x, t: 1e-6, 0.0, 0.0, 0.0, 1e-3, 1.0, 9e-8, 1e-7, False),
+    "tiny-generic-surface": (lambda x, t: 1e-6, None, 0.0, 0.0, 0.0, 1e-3, 1.0, 9e-8, 1e-7, False),
 }
 
 
-def _loop_outcome(run, force, mu, x0, v0, dt, t_max, eps, surface, project):
+def _loop_outcome(run, force, consts, mu, x0, v0, dt, t_max, eps, surface, project):
     def expire(signum, frame):
         raise TimeoutError("fixed-step loop did not finish within 30 s")
 
@@ -939,7 +943,7 @@ def _loop_outcome(run, force, mu, x0, v0, dt, t_max, eps, surface, project):
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(30)
     try:
-        col = run(force, mu, x0, v0, cfg, surface, project)
+        col = run(force, mu, x0, v0, cfg, surface, project, consts)
     except IntegratorFailureError as exc:
         return type(exc).__name__, str(exc)
     finally:
@@ -951,16 +955,27 @@ def _loop_outcome(run, force, mu, x0, v0, dt, t_max, eps, surface, project):
 @pytest.mark.parametrize("case", list(_LOOP_CASES))
 def test_fixed_step_inner_loop_matches_plain_loop(case):
     # bit for bit: samples, events, termination and error text
-    args = _LOOP_CASES[case]
-    expected = _loop_outcome(_reference_run_symplectic, *args)
-    assert _loop_outcome(dynamics._run_symplectic, *args) == expected
+    force, consts, *rest = _LOOP_CASES[case]
+    expected = _loop_outcome(_reference_run_symplectic, force, consts, *rest)
+    calls = []
+
+    def counted(x, t):
+        calls.append(x)
+        return force(x, t)
+
+    assert _loop_outcome(dynamics._run_symplectic, counted, consts, *rest) == expected
+    # given the constants, the regular steps of an undamped run evaluate the force inline
+    samples = len(expected[0][0]) // 8 if isinstance(expected[1], list) else 0
+    if consts is not None and not rest[0] and samples > 100:
+        assert len(calls) < samples // 10
     # each case reaches the exit it is named for
     kinds = {e[0] for e in expected[1]} if isinstance(expected[1], list) else set()
-    if case in ("corners-and-turns", "damped-turns", "away-from-rest"):
-        assert EVENT_STAGNATION in kinds and (EVENT_RETURN in kinds) == (case == "corners-and-turns")
+    returns = ("corners-and-turns", "cubic-spring")
+    if case in returns + ("damped-turns", "away-from-rest"):
+        assert EVENT_STAGNATION in kinds and (EVENT_RETURN in kinds) == (case in returns)
     if case in ("zone-and-trigger", "wide-trigger", "damped-touchdown", "tiny-generic-surface"):
         assert expected[2] == dynamics.TERMINATED_TOUCHDOWN
     if case in ("t_max-equals-dt", "t_max-below-dt"):
-        assert np.frombuffer(expected[0][0]).tolist() == [0.0, _LOOP_CASES[case][5]]
+        assert np.frombuffer(expected[0][0]).tolist() == [0.0, _LOOP_CASES[case][6]]
     if case == "negative-turn-fails":
         assert "interior displacement went negative" in expected[1]

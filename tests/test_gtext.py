@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pullin_dyn import _gtext
+from pullin_dyn import IntegratorConfig, ModelParams, _gtext, integrate
 
 COLS = 4
 
@@ -80,3 +80,18 @@ def test_kernel_edges(precision):
     edges = _edges()
     block = as_block(edges + [-v for v in edges])
     assert kernel_rows(block, precision) == template_rows(block, precision)
+
+
+@pytest.fixture(scope="module")
+def trajectory_block():
+    # the t, x, v and H columns of a real 40,001-row run, a row count that is no multiple of any pass
+    traj = integrate(ModelParams(xi=0.0, v=0.4), IntegratorConfig(dt=1e-4, t_max=4.0))
+    assert len(traj) == 40_001
+    return np.column_stack([traj.t, traj.x, traj.v, traj.energy])
+
+
+@pytest.mark.parametrize("cells", [2048, 4096])
+@pytest.mark.parametrize("precision", [12, 14])
+def test_text_does_not_depend_on_pass_size(trajectory_block, monkeypatch, cells, precision):
+    monkeypatch.setattr(_gtext, "_MAX_CELLS", cells)
+    assert _gtext.csv_rows(trajectory_block, precision) == template_rows(trajectory_block, precision)
