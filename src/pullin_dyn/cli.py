@@ -74,7 +74,10 @@ _CFG_KEYS = tuple(f.name for f in fields(IntegratorConfig))  # "scheme" first
 _SWEEP_COLUMNS = ("x_s", "t_p", "t_c", "regime", "v_dpi", "x_dpi")
 # Trajectory rows formatted per write: whole-file joins cost megabytes of text.
 _CSV_CHUNK_ROWS = 4096
-_MAX_ROWS = 10**6  # rows a sweep may have; each took about 2.5 KB of peak memory in a 100,000-row CSV sweep
+_JSON_NAMES = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}  # by the float's repr
+_to_json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), without an encoder per call
+_MIN_DISTINCT = 100  # sweep float cells from which each distinct one is formatted once (np.unique breaks even)
+_MAX_ROWS = 10**6  # rows a sweep may have; 100,000 rows peaked at 281 MB, in the quadrature's node-by-row matrices
 
 
 def _round_floats(obj, precision: int):
@@ -410,13 +413,13 @@ def _cell(exc: PullInDynError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: tuple[str, ...]) -> dict[str, list]:
+def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: tuple[str, ...]) -> dict:
     """The sweep table as columns, computed in one pass over arrays of rows.
 
     The rows of an (xi, kappa) pair share its cached pull-in point, and the
     xi, kappa and error columns repeat each pair's cell. An invalid input, a
     non-convex pair or a failed quadrature fills the error cell of its own
-    rows only. A cell with no value is None.
+    rows only. A float cell with no value is NaN, a regime or error one None.
     """
 
     def pull(xi: float, kappa: float, v: float) -> PullInResult | str:
@@ -429,19 +432,20 @@ def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: 
 
     n_v, pairs = len(vs), [(xi, kappa) for xi in xis for kappa in kappas]
     pulls = [pull(xi, kappa, 0.0) for xi, kappa in pairs]
-    per_pair = [(xi, kappa, p, *(np.nan,) * 3) if isinstance(p, str) else (xi, kappa, None, p.x0, p.v_dpi, p.x_dpi)
+    per_pair = [(xi, kappa, *(np.nan,) * 3) if isinstance(p, str) else (xi, kappa, p.x0, p.v_dpi, p.x_dpi)
                 for (xi, kappa), p in zip(pairs, pulls)]
-    xi_col, kappa_col, error, *pulled = (list(itertools.chain(*([c] * n_v for c in col))) for col in zip(*per_pair))
-    v_col = vs * len(pairs)
+    xi_col, kappa_col, *pulled = np.repeat(np.array(per_pair).T, n_v, axis=1)
+    v_col = np.tile(vs, len(pairs))
+    error = list(itertools.chain(*([p if isinstance(p, str) else None] * n_v for p in pulls)))
     for j in [j for j, v in enumerate(vs) if not in_statics_range(v)]:
         error[j::n_v] = [pull(*pair, vs[j]) for pair in pairs]  # an invalid v: the row's own input error
     ok = np.array([e is None for e in error]).nonzero()[0]
-    xi, kappa, v, x0, v_dpi, x_dpi = np.array([xi_col, kappa_col, v_col, *pulled])[:, ok]
+    xi, kappa, v, x0, v_dpi, x_dpi = (col[ok] for col in (xi_col, kappa_col, v_col, *pulled))
     regime, x_s, x2, a_sq = classify_rows(xi, kappa, v, x0, v_dpi)
     t_p, t_c = np.full((2, len(ok)), np.nan)
 
     def fail(j: int, last: float) -> None:  # row ok[j]'s quadrature was capped
-        error[ok[j]] = _cell(_cap_error(xi_col[ok[j]], kappa_col[ok[j]], v_col[ok[j]], last))
+        error[ok[j]] = _cell(_cap_error(float(xi[j]), float(kappa[j]), float(v[j]), last))
 
     at = (regime == REGIME_PERIODIC).nonzero()[0]
     if "t_p" in wanted and at.size:
@@ -460,53 +464,63 @@ def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: 
             fail(at[j], err_est[j])
     x_s[regime == REGIME_CONTACT] = np.nan  # the electrode never gets there
 
-    values = np.full((6, len(error)), np.nan)
-    values[:, ok] = x_s, t_p, t_c, v_dpi, v_dpi, x_dpi  # row 3 holds the regime, set below
-    cells = values.astype(object)
-    cells[np.isnan(values)] = None  # NaN is no value
-    cells[3, ok] = regime
-    return dict(xi=xi_col, kappa=kappa_col, v=v_col, **dict(zip(_SWEEP_COLUMNS, cells.tolist())), error=error)
+    values, regimes = np.full((5, len(error)), np.nan), np.full(len(error), None, object)
+    values[:, ok], regimes[ok] = (x_s, t_p, t_c, v_dpi, x_dpi), regime
+    return dict(xi=xi_col, kappa=kappa_col, v=v_col, **dict(zip(("x_s", "t_p", "t_c", "v_dpi", "x_dpi"), values)),
+                regime=regimes.tolist(), error=error)
 
 
-def _write_sweep(path: str, spec: dict, table: dict[str, list]) -> None:
-    # Cells are floats, strings or None, and each distinct cell's text is made once: a float's is "%.{p}g" % x,
-    # in JSON the repr of that rounded float or JSON's name for it, as json.dumps writes
-    # _round_floats's value; other cells' as json.dumps or csv.writer write them. One % call on the row
-    # template, repeated per row, writes all rows; JSON rows take the sorted keys, as json.dumps does.
+def _json_float(text: str, precision: int) -> str:
+    # json.dumps's text of float(text), text being "%.{precision}g" % x. Up to 15 digits, the text's digits are
+    # repr's (no shorter decimal reads back as the same double), so only whole numbers (repr adds ".0"), exponents
+    # in (0, 16) (repr is positional there) or at +-308 and beyond (subnormals, overflow) and inf or nan read back.
+    exp = int(text.partition("e")[2] or 0)
+    if precision <= 15 and -308 < exp < 308 and not 0 < exp < 16 and text[-1].isdigit():
+        return text if "." in text or "e" in text else text + ".0"
+    back = repr(float(text))
+    return _JSON_NAMES.get(back, back)
+
+
+@functools.lru_cache(maxsize=256)  # the regime names recur in every sweep
+def _csv_text(cell: str) -> str:
+    # csv.writer's text for a cell of a row of several (it quotes a lone empty cell)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((cell, None))
+    return buf.getvalue()[:-2]
+
+
+def _write_sweep(path: str, spec: dict, table: dict) -> None:
+    # The float columns (arrays with NaN, or lists with None, for no value) take "%.{p}g" % x from one % call, in
+    # JSON then _json_float, as json.dumps writes _round_floats's value; from _MIN_DISTINCT cells on, once per
+    # distinct bit pattern (0.0 and -0.0 apart). Other cells take json.dumps's or csv.writer's text. One % call on
+    # the row template writes all rows; JSON rows take the sorted keys, as json.dumps does.
     precision, as_json = spec["precision"], spec["format"] == "json"
     columns = ["xi", "kappa", "v", *spec["outputs"], "error"]
     keys = sorted(set(columns)) if as_json else columns
-    text, names = f"%.{precision}g", {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}  # by the float's repr
-
-    def quoted(cell) -> str:  # csv.writer's text for a cell of a row of several (it quotes a lone empty cell)
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow((cell, None))
-        return buf.getvalue()[:-2]
-
-    def rounded(values: list) -> list[str]:
-        texts = [text % c for c in values]
-        return [names.get(t, t) for t in map(repr, map(float, texts))] if as_json else texts
-
-    cells = list(itertools.chain(*zip(*(table[k] for k in keys))))  # row by row
-    distinct = dict.fromkeys(cells)
-    floats = [c for c in distinct if isinstance(c, float)]
-    memo = {None: "null" if as_json else "", **dict(zip(floats, rounded(floats)))}
-    memo.update((c, (json.dumps if as_json else quoted)(c)) for c in distinct if c not in memo)
-    texts = list(map(memo.__getitem__, cells))
-    if 0.0 in memo:  # 0.0 and -0.0 are one key but print apart
-        signed = dict(zip((1.0, -1.0), rounded([0.0, -0.0])))
-        for j, col in enumerate(table[k] for k in keys):
-            if 0.0 in col:
-                texts[j :: len(keys)] = [signed[math.copysign(1.0, c)] if c == 0.0 else memo[c] for c in col]
-    n_rows, spec_text = len(table["error"]), json.dumps(_round_floats(spec, precision), sort_keys=True)
+    none, n_rows, width = "null" if as_json else "", len(table["error"]), len(keys)
+    at = [j for j, k in enumerate(keys) if k not in ("regime", "error")]  # the float cells' places in a row
+    bits, index = np.array([table[keys[j]] for j in at], float).ravel().view(np.int64), None  # column by column
+    if bits.size >= _MIN_DISTINCT:
+        # return_index makes np.unique sort stably: that sort keeps 0.1 MB of code resident, quicksort 0.3 MB
+        bits, _, index = np.unique(bits, return_index=True, return_inverse=True)
+    texts = (f"%.{precision}g\n" * bits.size % tuple(bits.view(float).tolist())).split("\n")[:-1]
+    texts = [none if t == "nan" else _json_float(t, precision) if as_json else t for t in texts]
+    if index is not None:
+        texts = np.array(texts, object)[index].tolist()
+    cells = [none] * (n_rows * width)
+    for i, j in enumerate(at):
+        cells[j::width] = texts[i * n_rows : (i + 1) * n_rows]
+    for j in set(range(width)).difference(at):
+        memo = {c: none if c is None else (json.dumps if as_json else _csv_text)(c) for c in set(table[keys[j]])}
+        cells[j::width] = map(memo.__getitem__, table[keys[j]])
+    spec_text = _to_json(_round_floats(spec, precision))
     with open(path, "w", newline=None if as_json else "") as fh:
         if as_json:
-            rows = ", ".join(["{" + ", ".join(f"{json.dumps(k)}: %s" for k in keys) + "}"] * n_rows) % tuple(texts)
+            rows = ", ".join(["{" + ", ".join(f'"{k}": %s' for k in keys) + "}"] * n_rows) % tuple(cells)
             fh.write(f'{{"columns": {json.dumps(columns)}, "rows": [{rows}], "spec": {spec_text}}}\n')
         else:
-            fh.write(f"# pullin-dyn sweep version={__version__}\n# spec {spec_text}\n")
-            csv.writer(fh, lineterminator="\n").writerow(columns)
-            fh.write((",".join(["%s"] * len(keys)) + "\n") * n_rows % tuple(texts))
+            head = f"# pullin-dyn sweep version={__version__}\n# spec {spec_text}\n{','.join(columns)}\n"
+            fh.write(head + (",".join(["%s"] * width) + "\n") * n_rows % tuple(cells))
 
 
 def cmd_sweep(args: argparse.Namespace, precision: int) -> dict:
@@ -586,7 +600,7 @@ def main(argv: list[str] | None = None) -> int:
             _apply_config(args, args.config)
         precision = _resolve_precision(args)
         result = _DISPATCH[args.command](args, precision)
-        print(json.dumps(_round_floats(result, precision), sort_keys=True))
+        print(_to_json(_round_floats(result, precision)))
         return EXIT_OK
     except ConvexityError as exc:
         print(f"error: {exc}", file=sys.stderr)

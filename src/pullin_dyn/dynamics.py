@@ -595,7 +595,8 @@ def _dp5_dense(t: float, h: float, y: float, k) -> Callable[[float], float]:
 
 
 def _run_adaptive(force: Callable[[float, float], float], mu: float, x0: float, v0: float, cfg: IntegratorConfig,
-                  surface: float, ceiling: float, project_origin: bool) -> _Collector:
+                  surface: float, ceiling: float, project_origin: bool,
+                  consts: tuple[float, float, float] | None = None) -> _Collector:
     """Dormand-Prince 5(4) steps under RK45's control, with events found on each step.
 
     A step is accepted when the RMS over (x, v) of its error estimate, in
@@ -606,7 +607,8 @@ def _run_adaptive(force: Callable[[float, float], float], mu: float, x0: float, 
     _turn (a return restarts the steps at the corner). Event times are
     bisection roots of the step's quartic dense output to solve_ivp's
     tolerance, 4 eps (1 + |t|). A crossing needs a nonzero sign at the
-    step's start, so a start at v = 0 is no event.
+    step's start, so a start at v = 0 is no event. Given the actuator's force
+    constants (model.force_constants), stages evaluate make_force's expression.
     """
     col = _Collector()
     trigger = surface - cfg.contact_epsilon
@@ -614,8 +616,11 @@ def _run_adaptive(force: Callable[[float, float], float], mu: float, x0: float, 
     t_max, atol = cfg.t_max, cfg.abs_tol
     rtol = max(cfg.rel_tol, 100.0 * _EPS)  # RK45's floor
 
+    xs, kappa, v2h = consts or (None, None, None)
+
     def rhs(t: float, x: float, v: float) -> tuple[float, float]:
-        return v, force(x if x < clamp else clamp, t) - mu * v
+        x = x if x < clamp else clamp  # below the singular ceiling: xi + 1 for the actuator, so no guard is needed
+        return v, (force(x, t) if xs is None else -x - kappa * x**3 + v2h / (xs - x) ** 2) - mu * v
 
     t, x, v = 0.0, x0, v0
     col.add(t, x, v)
@@ -725,8 +730,9 @@ def integrate(
     def force(x: float, t: float) -> float:
         return fast(x)
 
-    col = (_run_adaptive(force, m.mu, x0, v0, cfg, 1.0, m.x_singular, project) if cfg.scheme == SCHEME_ADAPTIVE
-           else _run_symplectic(force, m.mu, x0, v0, cfg, 1.0, project, force_constants(m)))
+    consts = force_constants(m)
+    col = (_run_adaptive(force, m.mu, x0, v0, cfg, 1.0, m.x_singular, project, consts)
+           if cfg.scheme == SCHEME_ADAPTIVE else _run_symplectic(force, m.mu, x0, v0, cfg, 1.0, project, consts))
     return _finalize(col, m, 1.0)
 
 

@@ -2,6 +2,7 @@ import csv
 import importlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pullin_dyn
@@ -428,8 +429,9 @@ def _scalar_sweep_row(xi, kappa, v):
 
 
 def _rows(table):
-    # the sweep table's columns as one dict per grid point
-    return [dict(zip(table, cells)) for cells in zip(*table.values())]
+    # the sweep table's columns as one dict per grid point, float cells as Python floats and NaN as None (no value)
+    return [{k: (None if c != c else float(c)) if isinstance(c, float) else c for k, c in zip(table, cells)}
+            for cells in zip(*table.values())]
 
 
 def _error_parts(cell):
@@ -508,7 +510,7 @@ def test_sweep_rows_with_failed_quadrature_equal_scalar_api(monkeypatch):
     table = cli._sweep_rows(xis, kappas, vs, cli._SWEEP_COLUMNS)
     failed = {r["regime"] for r in _rows(table) if r["error"] and r["error"].startswith("QuadratureFailureError")}
     assert failed == {"periodic", "touchdown"}
-    assert any(t is not None for t in table["t_p"]) and any(t is not None for t in table["t_c"])
+    assert not (np.isnan(table["t_p"]).all() or np.isnan(table["t_c"]).all())
     _assert_rows_match_scalar(table)
 
 
@@ -688,13 +690,21 @@ def _reference_sweep_text(spec, rows):
     return buf.getvalue()
 
 
+def _table_forms(rows):
+    # one sweep table in both forms the writer takes: lists with None (and Python or numpy floats), and the
+    # program's columns, float64 arrays in which NaN is no value
+    lists = {k: [row[k] for row in rows] for k in rows[0]}
+    return lists, {k: col if k in ("regime", "error") else np.array(col, float) for k, col in lists.items()}
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "extra", [[], ["--precision", "3"], ["--precision", "17"], ["--outputs", "t_c,regime"]], ids=str
 )
 def test_sweep_file_matches_per_cell_reference(capsys, tmp_path, monkeypatch, fmt, extra):
     # periodic, touch-down and contact rows, empty cells, non-convex pairs
-    # and invalid v (error cells with colons)
+    # and invalid v (error cells with colons); the table as the sweep made it and as lists, its float
+    # cells formatted once per distinct cell and once per cell
     seen = []
     write = cli._write_sweep
     monkeypatch.setattr(cli, "_write_sweep", lambda *a: (seen.append(a), write(*a)))
@@ -708,11 +718,17 @@ def test_sweep_file_matches_per_cell_reference(capsys, tmp_path, monkeypatch, fm
     assert {"periodic", "touchdown", "contact", None} <= {r["regime"] for r in rows}
     errors = {r["error"].split(":")[0] for r in rows if r["error"]}
     assert errors == {"ConvexityError", "InvalidParameterError"}
-    assert path.read_bytes() == _reference_sweep_text(spec, rows).encode()
+    expected = _reference_sweep_text(spec, rows).encode()
+    assert path.read_bytes() == expected
+    for min_distinct in (0, 10**9):
+        monkeypatch.setattr(cli, "_MIN_DISTINCT", min_distinct)
+        for form in (table, _table_forms(rows)[0]):
+            write(str(path), spec, form)
+            assert path.read_bytes() == expected
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_sweep_writer_rounds_numpy_floats_and_quotes_cells(tmp_path, fmt):
+def test_sweep_writer_rounds_numpy_floats_and_quotes_cells(tmp_path, monkeypatch, fmt):
     spec = {
         "xi": [0.0, 0.1], "kappa": 0.0, "v_min": 0.1, "v_max": 1.0 / 3.0, "v_steps": 2,
         "outputs": ["x_s", "regime"], "format": fmt, "precision": 17,
@@ -729,13 +745,15 @@ def test_sweep_writer_rounds_numpy_floats_and_quotes_cells(tmp_path, fmt):
         spec["precision"] = precision
         expected = _reference_sweep_text(spec, rows)
         assert _reference_sweep_text(spec, numpy_rows) == expected
-        for cells in (rows, numpy_rows):
-            cli._write_sweep(str(tmp_path / "out"), spec, {k: [row[k] for row in cells] for k in cells[0]})
+        # list tables of Python and numpy floats and the array form, formatted per distinct cell and per cell
+        for min_distinct, table in itertools.product((0, 10**9), (*_table_forms(rows), _table_forms(numpy_rows)[0])):
+            monkeypatch.setattr(cli, "_MIN_DISTINCT", min_distinct)
+            cli._write_sweep(str(tmp_path / "out"), spec, table)
             assert (tmp_path / "out").read_text() == expected
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_sweep_writer_keeps_signed_zeros_and_escapes_error_cells(tmp_path, fmt):
+def test_sweep_writer_keeps_signed_zeros_and_escapes_error_cells(tmp_path, monkeypatch, fmt):
     # 0.0 and -0.0 compare equal but print apart ("0" and "-0", "0.0" and
     # "-0.0"), in either order in a column, and 0.25 repeats across rows; the
     # error cell needs CSV quoting and JSON escapes
@@ -756,9 +774,42 @@ def test_sweep_writer_keeps_signed_zeros_and_escapes_error_cells(tmp_path, fmt):
         spec["precision"] = precision
         expected = _reference_sweep_text(spec, rows)
         assert ("-0," if fmt == "csv" else "-0.0,") in expected and "\\" in expected
-        for cells in (rows, numpy_rows):
-            cli._write_sweep(str(tmp_path / "out"), spec, {k: [row[k] for row in cells] for k in cells[0]})
+        # list tables of Python and numpy floats and the array form, formatted per distinct cell and per cell
+        for min_distinct, table in itertools.product((0, 10**9), (*_table_forms(rows), _table_forms(numpy_rows)[0])):
+            monkeypatch.setattr(cli, "_MIN_DISTINCT", min_distinct)
+            cli._write_sweep(str(tmp_path / "out"), spec, table)
             assert (tmp_path / "out").read_text() == expected
+
+
+_MAX_DOUBLE = 1.7976931348623157e308
+_DOUBLES = st.one_of(
+    st.floats(allow_nan=False),  # the whole range, infinities included
+    st.floats(-2.3e-308, 2.3e-308),  # subnormals and the smallest normals
+    st.floats(-323.3, -307.6).map(lambda e: 10.0**e),  # subnormals, log-uniform
+    st.floats(1e12, 1e16),
+    st.floats(-1e16, -1e12),
+    st.floats(1.6e308, _MAX_DOUBLE),  # round up to inf at low precision
+    st.floats(-_MAX_DOUBLE, -1.6e308),
+    st.integers(-(2**60), 2**60).map(float),  # whole numbers
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+)
+
+
+@given(st.integers(0, 17), _DOUBLES)
+@example(3, 5e-324)  # a subnormal: "4.94e-324" reads back as 5e-324
+@example(15, 2.2362890372511e-310)  # "2.23628903725111e-310" reads back as this subnormal
+@example(3, _MAX_DOUBLE)  # "1.8e+308" overflows
+@example(15, 1e15)  # "1e+15", positional in repr
+@example(12, 123456789012.0)  # a positional whole number
+@example(0, -0.0)
+# above 15 digits the text need not be the shortest that reads back, so it takes the repr path
+@example(16, 9.41013511305455)  # "9.410135113054549" reads back as 9.41013511305455
+@example(17, 0.1)  # "0.10000000000000001"
+@example(17, 2.0)
+@settings(max_examples=400, deadline=None)
+def test_json_float_is_json_dumps_of_the_g_text(precision, x):
+    text = f"%.{precision}g" % x
+    assert cli._json_float(text, precision) == json.dumps(float(text))
 
 
 def _untimed(stdout):

@@ -979,3 +979,40 @@ def test_fixed_step_inner_loop_matches_plain_loop(case):
         assert np.frombuffer(expected[0][0]).tolist() == [0.0, _LOOP_CASES[case][6]]
     if case == "negative-turn-fails":
         assert "interior displacement went negative" in expected[1]
+
+
+@pytest.mark.parametrize(
+    "params, x0, v0, t_max, ends",
+    [
+        (dict(xi=0.0, v=0.4), 0.0, 0.0, 12.0, "horizon"),  # stagnation, return and a restart at the origin corner
+        (dict(xi=0.4, v=0.7, kappa=0.2), 0.0, 0.0, 12.0, "horizon"),  # x reaches 0.32: x**3 != x * x * x there
+        (dict(xi=0.0, v=0.6), 0.0, 0.0, 5.0, "touchdown"),  # stages past the surface take the clamped x
+        (dict(xi=0.3, v=1.0, kappa=0.3), 0.0, 0.0, 5.0, "touchdown"),
+        (dict(xi=0.0, v=0.4, mu=0.5), 0.0, 0.0, 8.0, "horizon"),
+        (dict(xi=0.0, v=0.3), 0.2, -0.6, 6.0, "touchdown"),
+        (dict(xi=0.0, v=0.3), 0.9, 100.0, 5.0, "touchdown"),  # some stages reach the clamp
+    ],
+    ids=["corners", "cubic", "touchdown", "cubic-touchdown", "damped", "away-from-rest", "fast-approach"],
+)
+def test_adaptive_inline_force_matches_callable(params, x0, v0, t_max, ends):
+    # bit for bit: samples, events and termination; given the constants, no stage calls the force
+    m = ModelParams(**params)
+    force, consts = _actuator(**params)
+    calls = []
+
+    def counted(x, t):
+        calls.append(x)
+        return force(x, t)
+
+    cfg = IntegratorConfig(scheme="adaptive", t_max=t_max)
+    project = x0 == 0.0 and v0 == 0.0 and m.mu == 0.0
+    outcomes, made = [], []
+    for c in (None, consts):
+        col = dynamics._run_adaptive(counted, m.mu, x0, v0, cfg, 1.0, m.x_singular, project, c)
+        outcomes.append(([a.tobytes() for a in col.arrays()], [(e.kind, e.t, e.x) for e in col.events],
+                         col.terminated_by))
+        made.append(len(calls))
+        calls.clear()
+    assert outcomes[0] == outcomes[1]
+    assert made[0] > 500 and made[1] == 0
+    assert outcomes[0][2] == ends and len(outcomes[0][1]) >= 1
