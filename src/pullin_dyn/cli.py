@@ -77,7 +77,8 @@ _CSV_CHUNK_ROWS = 4096
 _JSON_NAMES = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}  # by the float's repr
 _to_json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), without an encoder per call
 _MIN_DISTINCT = 100  # sweep float cells from which each distinct one is formatted once (np.unique breaks even)
-_MAX_ROWS = 10**6  # rows a sweep may have; 100,000 rows peaked at 281 MB, in the quadrature's node-by-row matrices
+_MAX_ROWS = 10**6  # rows a sweep may have; 100,000 rows peak at 112 MB, mostly the table and the writer's text
+_SLICE_ROWS = 2048  # rows per quadrature kernel call: its node-by-row matrices stay a few MB
 
 
 def _round_floats(obj, precision: int):
@@ -413,6 +414,12 @@ def _cell(exc: PullInDynError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _by_slices(times, *cols: np.ndarray) -> list[np.ndarray]:
+    # a column-wise kernel on slices of at most _SLICE_ROWS rows, its results joined: each row's result as in one call
+    parts = [times(*(col[i:i + _SLICE_ROWS] for col in cols)) for i in range(0, len(cols[0]), _SLICE_ROWS)]
+    return [np.concatenate(part) for part in zip(*parts)]
+
+
 def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: tuple[str, ...]) -> dict:
     """The sweep table as columns, computed in one pass over arrays of rows.
 
@@ -450,7 +457,7 @@ def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: 
     at = (regime == REGIME_PERIODIC).nonzero()[0]
     if "t_p" in wanted and at.size:
         q, bad = factor_rows(xi[at], v[at], kappa[at], x_s[at], x2[at])
-        t_s, _, err_est = stagnation_times(xi[at], x_s[at], x2[at], *q)
+        t_s, _, err_est = _by_slices(stagnation_times, xi[at], x_s[at], x2[at], *q)
         t_p[at] = 2.0 * t_s
         for j in np.isnan(t_s).nonzero()[0]:
             fail(at[j], err_est[j])
@@ -459,7 +466,7 @@ def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: 
         t_p[at[list(bad)]] = np.nan
     at = ((regime == REGIME_TOUCHDOWN) | (regime == REGIME_CONTACT)).nonzero()[0]
     if "t_c" in wanted and at.size:
-        t_c[at], _, err_est = contact_times(xi[at], kappa[at], x0[at], a_sq[at])
+        t_c[at], _, err_est = _by_slices(contact_times, xi[at], kappa[at], x0[at], a_sq[at])
         for j in np.isnan(t_c[at]).nonzero()[0]:
             fail(at[j], err_est[j])
     x_s[regime == REGIME_CONTACT] = np.nan  # the electrode never gets there

@@ -82,6 +82,7 @@ _CONTACT_ZONE = 1e-3
 _MAX_STEPS = 10**7  # fixed steps a run may take; each kept step stores 24 B (t, x, v as doubles)
 _MAX_SAMPLES = 10**6  # samples an adaptive run may keep (24 B each), checked at every solver step
 _CRITICAL_STEP = 1e-2  # RK4 step of integrate_critical, independent of the sample spacing
+_BLOCK = 2048  # regular fixed steps per block; its two 16 KiB time buffers stay far under malloc's mmap threshold
 _DT_MIN = 1e-12  # floor of the fixed step halved near contact
 _ORIGIN_EPSILON = 1e-6  # displacement band of undamped rest-start runs treated as an origin pass
 _REFINE_TOL = 1e-10  # bracket width of the fixed-step turn, the critical touch-down and level crossings
@@ -426,26 +427,25 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
     implicitly, which reduces to plain velocity Verlet at mu = 0. Turns are
     dated on the step's cubic Hermite interpolant of v.
 
-    An undamped run takes its regular steps in an inner loop bounded by two
-    limits, each found once by _last_float: t_lim, the largest t with
-    t + dt <= t_max, and x_lim, the largest x outside the contact zone and
+    An undamped run given the actuator's force constants
+    (model.force_constants) takes its regular steps in blocks of _BLOCK,
+    bounded by two limits, each found once by _last_float: t_lim, the largest t
+    with t + dt <= t_max, and x_lim, the largest x outside the contact zone and
     below the trigger (which can lie inside the zone). There a step needs no
-    halving, meets no trigger and, by the step budget, advances t, so the
-    inner loop tests only x_new > x_lim and the turn. Every other step (the
-    partial last one, the zone, the trigger, every damped step) leaves the
-    inner loop before it commits anything and takes the general body. Both
-    do the same arithmetic in the same order and share the turn helper, so
-    the results are bit for bit those of the general body alone.
-
-    Given the actuator's force constants (model.force_constants), the inner
-    loop evaluates make_force's expression inline (x <= x_lim < 1 <= xi + 1
-    there, so its guard never fires) and calls no function per step; every
-    other step, and every step of a run given no constants, calls force.
+    halving, meets no trigger and, by the step budget, advances t. One
+    np.add.accumulate over [t, dt, dt, ...] gives a block's times, the loop's
+    own sequential t + dt sums, and one searchsorted against t_lim its step
+    count; the block body stores only x and v, evaluates make_force's
+    expression inline (x <= x_lim < 1 <= xi + 1 there, so its guard never
+    fires) and tests only x_new > x_lim and the turn. Its times join the
+    samples when the block ends. Every other step (the partial last one, the
+    zone, the trigger, a turn, every step of a damped run or of one given no
+    constants) leaves the block before it commits anything and takes the
+    general body, which calls force. Both do the same arithmetic in the same
+    order, so the results are bit for bit those of the general body alone.
     """
     _check_step_budget(cfg.t_max, cfg.dt)
     col = _Collector()
-    # regular steps append directly and check t against the loop's t, which
-    # is always the last sample's t
     t_append, x_append, v_append = col.t.append, col.x.append, col.v.append
     dt_base = cfg.dt
     zone = _CONTACT_ZONE * surface
@@ -458,9 +458,11 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
     half_dt = 0.5 * dt_base
     xs, kappa, v2h = consts or (0.0, 0.0, 0.0)
     # both tests are monotone in their variable; -inf when no full step or no x qualifies, and
-    # t_lim = -inf sends every step of a damped run to the general body
-    t_lim = _last_float(lambda tq: tq + dt_base <= t_max and tq < t_max, 0.0, t_max) if not mu else -math.inf
+    # t_lim = -inf sends every step of a damped run, or of one without constants, to the general body
+    t_lim = _last_float(lambda tq: tq + dt_base <= t_max and tq < t_max, 0.0, t_max) if consts and not mu else -math.inf
     x_lim = _last_float(lambda xq: surface - xq >= zone and xq < trigger, 0.0, surface)
+    steps = np.full(_BLOCK + 1, dt_base)  # [t, dt, dt, ...]: its running sums are the block's times
+    ts = np.empty_like(steps)
 
     def turn(t, x, v, a, t_new, x_new, v_new, a_new) -> float | None:
         # the turn on a step where v changes sign; a corner's time, for a restart at (0, 0)
@@ -471,29 +473,29 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
 
     while t < t_max:
         if t <= t_lim and x <= x_lim:
-            while t <= t_lim:
-                vh = v + half_dt * (a - mu * v)  # mu is 0, but a - 0 v is NaN, not a, at v = inf
+            steps[0] = t
+            np.add.accumulate(steps, out=ts)
+            k = min(int(ts.searchsorted(t_lim, "right")), _BLOCK)  # the block's steps that start at or below t_lim
+            for i in range(k):
+                vh = v + half_dt * a  # mu = 0: a damped run never gets here
                 x_new = x + dt_base * vh
                 if x_new > x_lim:
                     break
-                t_new = t + dt_base
-                a_new = -x_new - kappa * x_new**3 + v2h / (xs - x_new) ** 2 if consts else force(x_new, t_new)
+                a_new = -x_new - kappa * x_new**3 + v2h / (xs - x_new) ** 2
                 v_new = vh + half_dt * a_new
-                if (v > 0.0 and v_new <= 0.0) or (v < 0.0 and v_new >= 0.0):  # the body's test, unchained: cheaper
-                    t_corner = turn(t, x, v, a, t_new, x_new, v_new, a_new)
-                    if t_corner is not None:
-                        t, x, v = t_corner, 0.0, 0.0
-                        a = force(x, t)
-                        continue
-                t = t_new  # one store each: a tuple assignment builds a tuple per step
-                x = x_new
+                if (v > 0.0 and v_new <= 0.0) or (v < 0.0 and v_new >= 0.0):  # a turn; unchained: cheaper
+                    break
+                x = x_new  # one store each: a tuple assignment builds a tuple per step
                 v = v_new
                 a = a_new
-                t_append(t)
                 x_append(x)
                 v_append(v)
             else:
-                continue  # past t_lim: the horizon test, then the partial last step
+                i = k
+            col.t.frombytes(ts[1:i + 1].view(np.uint8))  # before the general body can add a sample
+            t = ts.item(i)
+            if i == k:
+                continue  # a full block, or past t_lim: the horizon test, then the partial last step
 
         dt_eff = dt_base if t + dt_base <= t_max else t_max - t
         if surface - x < zone:
@@ -505,7 +507,8 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
                 dt_eff *= 0.5
             dt_eff = max(dt_eff, _DT_MIN)
 
-        vh = v + 0.5 * dt_eff * (a - mu * v)
+        half = 0.5 * dt_eff
+        vh = v + half * (a - mu * v)
         x_new = x + dt_eff * vh
         t_new = t + dt_eff
 
@@ -520,7 +523,7 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
             break
 
         a_new = force(x_new, t_new)
-        v_new = (vh + 0.5 * dt_eff * a_new) / (1.0 + half_mu * dt_eff)  # / 1.0, exact, at mu = 0
+        v_new = (vh + half * a_new) / (1.0 + half_mu * dt_eff)  # / 1.0, exact, at mu = 0
 
         if v > 0.0 >= v_new or v < 0.0 <= v_new:
             t_corner = turn(t, x, v, a, t_new, x_new, v_new, a_new)
@@ -533,7 +536,10 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
             raise IntegratorFailureError(
                 f"samples not strictly increasing in t at t={t_new}"
             )
-        t, x, v, a = t_new, x_new, v_new, a_new
+        t = t_new
+        x = x_new
+        v = v_new
+        a = a_new
         t_append(t)
         x_append(x)
         v_append(v)

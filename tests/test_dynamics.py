@@ -932,7 +932,43 @@ _LOOP_CASES = {
     "negative-turn-fails": (lambda x, t: -x - 0.1, None, 0.0, 0.0, 0.0, 1e-3, 5.0, 1e-9, 1.0, True),
     # the trigger 1e-8 lies far below the zone edge 0.999e-7
     "tiny-generic-surface": (lambda x, t: 1e-6, None, 0.0, 0.0, 0.0, 1e-3, 1.0, 9e-8, 1e-7, False),
+    # the block size of the next three is set from the reference run (_LOOP_EDGES)
+    "turn-first-step-of-block": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 4.0, 1e-9, 1.0, True),
+    "turn-last-step-of-block": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 4.0, 1e-9, 1.0, True),
+    "corner-mid-block": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 8.0, 1e-9, 1.0, True),
+    "x_lim-exit-first-step-of-block": (*_actuator(0.0, 0.6), 0.0, 0.0, 0.0, 1e-3, 5.0, 1e-9, 1.0, True),
+    "horizon-in-first-block": (*_actuator(0.3, 0.4), 0.0, 0.0, 0.0, 1e-3, 0.50037, 1e-9, 1.0, True),
+    # the summed t of step 2100 is t_lim itself, so the step from it is the last full one
+    "t_lim-on-the-grid": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 2.1009999999998796, 1e-9, 1.0, True),
+    "dt-1e-4-over-blocks": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 1e-4, 8.0, 1e-9, 1.0, True),
+    # no constants: every step takes the general body, which passes each step's t to the force
+    "generic-undamped-turns": (lambda x, t: 0.1 * (1.0 + 0.5 * math.sin(t)) - x, None, 0.0, 0.0, 0.0, 1e-3, 20.0,
+                               1e-9, 1.0, False),
 }
+
+# case: (the step, its place in its block). The step is the nth turn, the last step of a
+# sample pair whose v changes sign, or the step that leaves x_lim; blocks start at the run's
+# start and after each turn, so these sizes put the step where the case name says.
+_LOOP_EDGES = {
+    "turn-first-step-of-block": ("turn", 1, "first"),
+    "turn-last-step-of-block": ("turn", 1, "last"),
+    "corner-mid-block": ("turn", 2, "mid"),
+    "x_lim-exit-first-step-of-block": ("x_lim", 1, "first"),
+}
+
+
+def _edge_block(samples, kind, n, where):
+    _, x, v = (np.frombuffer(b) for b in samples)
+    if kind == "x_lim":
+        steps = np.flatnonzero(1.0 - x[1:] < dynamics._CONTACT_ZONE)[:n]
+    else:
+        steps = np.flatnonzero(((v[:-1] > 0.0) & (v[1:] <= 0.0)) | ((v[:-1] < 0.0) & (v[1:] >= 0.0)))[:n]
+    assert len(steps) == n
+    d = int(steps[-1]) - (int(steps[-2]) + 1 if n > 1 else 0)  # steps from its block run's start
+    block = {"first": d, "last": d + 1, "mid": (2 * d + 2) // 3}[where]
+    place = {0: "first", block - 1: "last"}.get(d % block, "mid")
+    assert block >= 3 and d >= block - 1 and place == where
+    return block
 
 
 def _loop_outcome(run, force, consts, mu, x0, v0, dt, t_max, eps, surface, project):
@@ -953,10 +989,12 @@ def _loop_outcome(run, force, consts, mu, x0, v0, dt, t_max, eps, surface, proje
 
 
 @pytest.mark.parametrize("case", list(_LOOP_CASES))
-def test_fixed_step_inner_loop_matches_plain_loop(case):
+def test_fixed_step_inner_loop_matches_plain_loop(case, monkeypatch):
     # bit for bit: samples, events, termination and error text
     force, consts, *rest = _LOOP_CASES[case]
     expected = _loop_outcome(_reference_run_symplectic, force, consts, *rest)
+    if case in _LOOP_EDGES:
+        monkeypatch.setattr(dynamics, "_BLOCK", _edge_block(expected[0], *_LOOP_EDGES[case]))
     calls = []
 
     def counted(x, t):
@@ -970,11 +1008,22 @@ def test_fixed_step_inner_loop_matches_plain_loop(case):
         assert len(calls) < samples // 10
     # each case reaches the exit it is named for
     kinds = {e[0] for e in expected[1]} if isinstance(expected[1], list) else set()
-    returns = ("corners-and-turns", "cubic-spring")
-    if case in returns + ("damped-turns", "away-from-rest"):
+    returns = ("corners-and-turns", "cubic-spring", "corner-mid-block", "dt-1e-4-over-blocks")
+    if case in returns + ("damped-turns", "away-from-rest", "turn-first-step-of-block", "turn-last-step-of-block"):
         assert EVENT_STAGNATION in kinds and (EVENT_RETURN in kinds) == (case in returns)
-    if case in ("zone-and-trigger", "wide-trigger", "damped-touchdown", "tiny-generic-surface"):
+    if case in ("zone-and-trigger", "wide-trigger", "damped-touchdown", "tiny-generic-surface",
+                "x_lim-exit-first-step-of-block"):
         assert expected[2] == dynamics.TERMINATED_TOUCHDOWN
+    if case == "horizon-in-first-block":
+        assert 100 < samples < dynamics._BLOCK and expected[2] == dynamics.TERMINATED_HORIZON
+        assert np.frombuffer(expected[0][0])[-1] == _LOOP_CASES[case][6]
+    if case == "t_lim-on-the-grid":
+        t, t_max = np.frombuffer(expected[0][0]), _LOOP_CASES[case][6]
+        assert len(t) == 2102 and t[-2] == dynamics._last_float(lambda tq: tq + 1e-3 <= t_max, 0.0, t_max)
+    if case == "dt-1e-4-over-blocks":
+        assert samples > 3 * dynamics._BLOCK
+    if case == "generic-undamped-turns":
+        assert sum(kind == EVENT_STAGNATION for kind, *_ in expected[1]) >= 5
     if case in ("t_max-equals-dt", "t_max-below-dt"):
         assert np.frombuffer(expected[0][0]).tolist() == [0.0, _LOOP_CASES[case][6]]
     if case == "negative-turn-fails":
