@@ -932,7 +932,7 @@ _LOOP_CASES = {
     "negative-turn-fails": (lambda x, t: -x - 0.1, None, 0.0, 0.0, 0.0, 1e-3, 5.0, 1e-9, 1.0, True),
     # the trigger 1e-8 lies far below the zone edge 0.999e-7
     "tiny-generic-surface": (lambda x, t: 1e-6, None, 0.0, 0.0, 0.0, 1e-3, 1.0, 9e-8, 1e-7, False),
-    # the block size of the next three is set from the reference run (_LOOP_EDGES)
+    # the block size of the next four is set from the reference run (_LOOP_EDGES)
     "turn-first-step-of-block": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 4.0, 1e-9, 1.0, True),
     "turn-last-step-of-block": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 4.0, 1e-9, 1.0, True),
     "corner-mid-block": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 8.0, 1e-9, 1.0, True),
