@@ -1,4 +1,4 @@
-"""CSV text of float blocks, each cell exactly as the "%.{p}g" template prints it.
+"""CSV text of float blocks as ASCII bytes, each cell exactly as the "%.{p}g" template prints it.
 
 The kernel makes a whole block's text in numpy passes. One correctly rounded
 multiply by an exact power of ten scales a value to its p digits; that gives
@@ -51,6 +51,13 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     return digits.ravel(), sum((abc % 10**k == 0).view(np.uint8) for k in (1, 2, 3, 4))
 
 
+@functools.lru_cache(maxsize=4)  # a file's passes share one shape but the last; at most 4 KiB each
+def _separators(rows: int, cols: int) -> np.ndarray:  # each cell's separator, an index into _LEAD before its sign
+    sep = np.full((rows, cols), 2, np.uint8)
+    sep[:, 0], sep[0, 0] = 4, 0
+    return np.frombuffer(sep.tobytes(), np.uint8)  # read-only, as a cached result must be
+
+
 @functools.cache
 def _masks(p: int) -> np.ndarray:
     """The masks of a cell's words after its first, by key = f * (p + 4) + z, as rows of uint32 by word.
@@ -78,8 +85,9 @@ def _round(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = np.where(ok, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.intp)  # perhaps off by one
     s = a * np.take(_P10, p - 1 - e, mode="clip")
-    e += (s >= _P10[p]).view(np.int8) - (s < _P10[p - 1]).view(np.int8)
-    s = a * np.take(_P10, p - 1 - e, mode="clip")  # p digits before the point where e is right
+    off = np.flatnonzero((s >= _P10[p]) | (s < _P10[p - 1]))  # rescaled alone: p digits before the point
+    e[off] += np.where(s[off] >= _P10[p], 1, -1)
+    s[off] = a[off] * np.take(_P10, p - 1 - e[off], mode="clip")
     n = np.rint(s)
     # s is within ulp(s) / 2 of the exact product, and s * 2^-51 is at least 2 ulp(s): n is its rounding
     ok &= (s >= _P10[p - 1]) & (s < _P10[p]) & (np.abs(s - n) < 0.5 - s * 2.0**-51)
@@ -96,8 +104,9 @@ def _words(x: np.ndarray, p: int, rows: int, cols: int) -> tuple[np.ndarray, np.
     """
     ok, e, n = _round(x, p)
     f = p - 1 - e  # fraction digits, trailing zeros included
-    i = np.floor(n / _P10[f])  # exact while n < 2^52
-    fraction = (n - i * _P10[f]).astype(np.intp)
+    scale = _P10[f]
+    i = np.floor(n / scale)  # exact while n < 2^52
+    fraction = (n - i * scale).astype(np.intp)
     del e, n
     masks, (digits, trailing) = _masks(p), _digit_tables()
     n_int, n_frac = -(-max(p - int(f.min()), 1) // 4), -(-p // 4) + 1  # integer words written, fraction words
@@ -107,9 +116,7 @@ def _words(x: np.ndarray, p: int, rows: int, cols: int) -> tuple[np.ndarray, np.
         zeros = trailing[g] + (g == 0) * zeros
     key = f * (p + 4) + np.minimum(zeros, f)
     out = np.empty((len(x), 1 + len(groups)), np.uint32)
-    sep = np.full((rows, cols), 2)
-    sep[:, 0], sep[0, 0] = 4, 0
-    out[:, 0] = _LEAD[sep.ravel() + (x < 0.0)]
+    out[:, 0] = _LEAD[_separators(rows, cols) + (x < 0.0)]
     for k, g in enumerate(groups):
         word = digits[g]
         if k == n_int:
@@ -118,19 +125,19 @@ def _words(x: np.ndarray, p: int, rows: int, cols: int) -> tuple[np.ndarray, np.
     return ok, out.view(np.uint8)
 
 
-def csv_rows(block: np.ndarray, precision: int) -> str:
-    """Rows of a 2-D float64 block joined by ',' and ended by '\\n', each cell "%.{precision}g" % cell."""
+def csv_rows(block: np.ndarray, precision: int) -> bytes:
+    """Rows of a 2-D float64 block joined by ',' and ended by '\\n', each cell "%.{precision}g" % cell, as ASCII."""
     rows, cols = block.shape
     template = f"%.{precision}g"
     if precision > _MAX_KERNEL_PRECISION or block.size < _MIN_CELLS:
-        return ((",".join([template] * cols) + "\n") * rows) % tuple(block.ravel().tolist())
+        return (((",".join([template] * cols) + "\n") * rows) % tuple(block.ravel().tolist())).encode()
     step = max(_MAX_CELLS // cols, 1)
     if rows > step:
-        return "".join([csv_rows(block[j : j + step], precision) for j in range(0, rows, step)])
+        return b"".join([csv_rows(block[j : j + step], precision) for j in range(0, rows, step)])
     x = block.ravel()
     ok, out = _words(x, max(precision, 1), rows, cols)  # "%.0g" prints one digit
     bad = np.flatnonzero(~ok)
     if bad.size:
         texts = "".join([(template % v).ljust(out.shape[1] - 1, "\0") for v in x[bad].tolist()])
         out[bad, 1:] = np.frombuffer(texts.encode(), np.uint8).reshape(bad.size, -1)
-    return out.tobytes().translate(None, b"\0").decode() + "\n"
+    return out.tobytes().translate(None, b"\0") + b"\n"

@@ -307,24 +307,23 @@ def _write_trajectory_csv(
     path: str, traj: Trajectory, m: ModelParams, cfg: IntegratorConfig, precision: int
 ) -> None:
     # Each cell, event footers included, is "%.{p}g" % x, which needs no csv quoting. Chunks bound the text
-    # and stacked copy held. The text module is imported here, so commands that write no trajectory neither
-    # compile nor load it.
+    # and stacked copy held. The file is binary: the rows come as ASCII bytes. The text module is imported
+    # here, so commands that write no trajectory neither compile nor load it.
     from ._gtext import csv_rows
 
     text, with_h = f"%.{precision}g", m.mu == 0.0
     columns = [traj.t, traj.x, traj.v] + ([traj.energy] if with_h else [])  # every undamped run keeps H
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# pullin-dyn simulate version={__version__}\n")
-        fh.write(f"# params xi={m.xi!r} v={m.v!r} kappa={m.kappa!r} mu={m.mu!r}\n")
+    with open(path, "wb") as fh:
         fh.write(
+            f"# pullin-dyn simulate version={__version__}\n"
+            f"# params xi={m.xi!r} v={m.v!r} kappa={m.kappa!r} mu={m.mu!r}\n"
             f"# config scheme={cfg.scheme} dt={cfg.dt!r} t_max={cfg.t_max!r} "
             f"contact_epsilon={cfg.contact_epsilon!r}\n"
+            f"{','.join(['t', 'x', 'v'] + (['H'] if with_h else []))}\n".encode()
         )
-        fh.write(",".join(["t", "x", "v"] + (["H"] if with_h else [])) + "\n")
         for i in range(0, len(traj), _CSV_CHUNK_ROWS):
             fh.write(csv_rows(np.column_stack([c[i : i + _CSV_CHUNK_ROWS] for c in columns]), precision))
-        for ev in traj.events:
-            fh.write(f"# event,{ev.kind},{text % ev.t},{text % ev.x}\n")
+        fh.write("".join([f"# event,{ev.kind},{text % ev.t},{text % ev.x}\n" for ev in traj.events]).encode())
 
 
 def cmd_simulate(args: argparse.Namespace, precision: int) -> dict:

@@ -435,14 +435,16 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
     halving, meets no trigger and, by the step budget, advances t. One
     np.add.accumulate over [t, dt, dt, ...] gives a block's times, the loop's
     own sequential t + dt sums, and one searchsorted against t_lim its step
-    count; the block body stores only x and v, evaluates make_force's
-    expression inline (x <= x_lim < 1 <= xi + 1 there, so its guard never
-    fires) and tests only x_new > x_lim and the turn. Its times join the
-    samples when the block ends. Every other step (the partial last one, the
-    zone, the trigger, a turn, every step of a damped run or of one given no
-    constants) leaves the block before it commits anything and takes the
-    general body, which calls force. Both do the same arithmetic in the same
-    order, so the results are bit for bit those of the general body alone.
+    count; the block body stores x and v in list slots, which join the
+    samples with its times when it ends, evaluates make_force's expression
+    inline with math.pow bound once (x <= x_lim < 1 <= xi + 1 there, so its
+    guard never fires) and tests only x_new > x_lim and v * v_new <= 0, which
+    also breaks at v = 0 and on underflow, each time for one general-body step
+    and a new block. Every other step (the partial last one, the zone, the
+    trigger, a turn, every step of a damped run or of one given no constants)
+    leaves the block before it commits anything and takes the general body,
+    which calls force. Both do the same arithmetic in the same order, so the
+    results are bit for bit those of the general body alone.
     """
     _check_step_budget(cfg.t_max, cfg.dt)
     col = _Collector()
@@ -463,6 +465,7 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
     x_lim = _last_float(lambda xq: surface - xq >= zone and xq < trigger, 0.0, surface)
     steps = np.full(_BLOCK + 1, dt_base)  # [t, dt, dt, ...]: its running sums are the block's times
     ts = np.empty_like(steps)
+    xb, vb, pow_ = [0.0] * _BLOCK, [0.0] * _BLOCK, math.pow
 
     def turn(t, x, v, a, t_new, x_new, v_new, a_new) -> float | None:
         # the turn on a step where v changes sign; a corner's time, for a restart at (0, 0)
@@ -481,18 +484,18 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
                 x_new = x + dt_base * vh
                 if x_new > x_lim:
                     break
-                a_new = -x_new - kappa * x_new**3 + v2h / (xs - x_new) ** 2
+                a_new = -x_new - kappa * pow_(x_new, 3.0) + v2h / pow_(xs - x_new, 2.0)
                 v_new = vh + half_dt * a_new
-                if (v > 0.0 and v_new <= 0.0) or (v < 0.0 and v_new >= 0.0):  # a turn; unchained: cheaper
+                if v * v_new <= 0.0:  # a turn, v = 0 or an underflow: the general body redoes the step
                     break
-                x = x_new  # one store each: a tuple assignment builds a tuple per step
-                v = v_new
+                x = xb[i] = x_new  # one store each: a tuple assignment builds a tuple per step
+                v = vb[i] = v_new
                 a = a_new
-                x_append(x)
-                v_append(v)
             else:
                 i = k
             col.t.frombytes(ts[1:i + 1].view(np.uint8))  # before the general body can add a sample
+            col.x.fromlist(xb[:i])
+            col.v.fromlist(vb[:i])
             t = ts.item(i)
             if i == k:
                 continue  # a full block, or past t_lim: the horizon test, then the partial last step
@@ -622,11 +625,11 @@ def _run_adaptive(force: Callable[[float, float], float], mu: float, x0: float, 
     t_max, atol = cfg.t_max, cfg.abs_tol
     rtol = max(cfg.rel_tol, 100.0 * _EPS)  # RK45's floor
 
-    xs, kappa, v2h = consts or (None, None, None)
+    (xs, kappa, v2h), pow_ = consts or (None, None, None), math.pow
 
     def rhs(t: float, x: float, v: float) -> tuple[float, float]:
         x = x if x < clamp else clamp  # below the singular ceiling: xi + 1 for the actuator, so no guard is needed
-        return v, (force(x, t) if xs is None else -x - kappa * x**3 + v2h / (xs - x) ** 2) - mu * v
+        return v, (force(x, t) if xs is None else -x - kappa * pow_(x, 3.0) + v2h / pow_(xs - x, 2.0)) - mu * v
 
     t, x, v = 0.0, x0, v0
     col.add(t, x, v)
@@ -800,7 +803,7 @@ def integrate_critical(
         raise RegimeMismatchError(
             f"regime is '{cls.regime}', not critical (v={m.v}, v_dpi={cls.threshold.v_dpi})"
         )
-    xs = m.x_singular
+    xs, sqrt, exp = m.x_singular, math.sqrt, math.exp
     x0 = cls.threshold.x0
     t_max = cfg.t_max
     surface = 1.0
@@ -811,11 +814,11 @@ def integrate_critical(
 
     def ds_dt(s: float) -> float:
         x = s * s
-        return 0.5 * (x0 - x) * math.sqrt(((c0 * x + c1) * x + c2) / (xs - x))
+        return 0.5 * (x0 - x) * sqrt(((c0 * x + c1) * x + c2) / (xs - x))
 
     def dw_dt(w: float) -> float:
-        x = x0 - math.exp(-w)
-        return math.sqrt(x * (((c0 * x + c1) * x + c2) / (xs - x)))
+        x = x0 - exp(-w)
+        return sqrt(x * (((c0 * x + c1) * x + c2) / (xs - x)))
 
     # s = sqrt(x) from rest to x0/2, or to the surface if it comes first
     t1, s1, d1 = _rk4_knots(ds_dt, 0.0, 0.0, t_max, math.sqrt(min(0.5 * x0, surface)))

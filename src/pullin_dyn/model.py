@@ -138,14 +138,15 @@ def force_constants(m: ModelParams) -> tuple[float, float, float]:
 def make_force(m: ModelParams) -> Callable[[float], float]:
     """Return the scalar normalized acceleration x -> -x - kappa x^3 + v^2 / (2 (xi+1-x)^2).
 
-    The singularity guard is kept, the dataclass attribute lookups are not.
+    The singularity guard is kept, the dataclass attribute lookups and the ** operator's dispatch are not:
+    math.pow is the libm pow that ** calls, bit for bit (a multiply would round differently).
     """
-    xs, kappa, v2h = force_constants(m)
+    (xs, kappa, v2h), pow_ = force_constants(m), math.pow
 
     def f(x: float) -> float:
         if x >= xs:
             raise SingularityError(f"x={x} at or beyond singularity x=xi+1={xs}")
-        return -x - kappa * x**3 + v2h / (xs - x) ** 2
+        return -x - kappa * pow_(x, 3.0) + v2h / pow_(xs - x, 2.0)
 
     return f
 

@@ -302,3 +302,13 @@ def test_pullin_converges_to_linear_as_kappa_vanishes():
         prev_x0, prev_v = res.x_dpi, res.v_dpi
     assert prev_x0 == pytest.approx(0.5, abs=1e-3)
     assert prev_v == pytest.approx(0.5, abs=1e-3)
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.5])
+def test_stagnation_converges_to_linear_as_kappa_vanishes(xi):
+    # the cubic stagnation level rises monotonically to the linear closed form as kappa -> 0
+    v = 0.8 * pullin_linear(xi).v_dpi
+    linear = stagnation_linear(xi, v)
+    levels = [cubic_stagnation(xi, v, kappa) for kappa in (0.1, 0.01, 1e-3, 1e-4, 1e-6)]
+    assert all(a < b < linear for a, b in zip(levels, levels[1:]))
+    assert linear - levels[-1] < 1e-7

@@ -1,12 +1,13 @@
 import math
 import signal
+import struct
 import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -915,6 +916,12 @@ def _actuator(xi, v, mu=0.0, kappa=0.0):
     return lambda x, t: fast(x), force_constants(m)
 
 
+def _below_origin(x, t):
+    # the force expression, in the operator form, on constants no ModelParams gives: v^2/2 = -2.5e-7 pulls the
+    # origin down, so each restart at the corner (0, 0) descends to x ~ -5e-7, inside the origin band
+    return -x - 0.3 * x**3 + -2.5e-7 / (1.0 - x) ** 2
+
+
 # (force, consts, mu, x0, v0, dt, t_max, contact_epsilon, surface, project_origin)
 _LOOP_CASES = {
     "corners-and-turns": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 12.0, 1e-9, 1.0, True),
@@ -944,6 +951,14 @@ _LOOP_CASES = {
     # no constants: every step takes the general body, which passes each step's t to the force
     "generic-undamped-turns": (lambda x, t: 0.1 * (1.0 + 0.5 * math.sin(t)) - x, None, 0.0, 0.0, 0.0, 1e-3, 20.0,
                                1e-9, 1.0, False),
+    # released at rest above the origin: the first block is entered at v = 0, where v * v_new = 0 sends the
+    # step to the general body; the run then swings below 0 and turns there
+    "block-entered-at-rest": (*_actuator(0.0, 0.4), 0.0, 0.3, 0.0, 1e-3, 5.0, 1e-9, 1.0, False),
+    # |v| ~ 1e-170 at zero voltage: v * v_new underflows to 0 on every step (below |v| ~ 1.5e-162 it does), so
+    # every step leaves its block for the general body, and the run still ends at the horizon
+    "underflowing-turn-product": (*_actuator(0.0, 0.0), 0.0, 0.0, 1e-170, 1e-3, 3.0, 1e-9, 1.0, False),
+    # block steps at negative x after each corner restart: math.pow of a negative base against x**3
+    "negative-x-after-corner": (_below_origin, (1.0, 0.3, -2.5e-7), 0.0, 0.0, 0.0, 1e-3, 8.0, 1e-9, 1.0, True),
 }
 
 # case: (the step, its place in its block). The step is the nth turn, the last step of a
@@ -1002,9 +1017,10 @@ def test_fixed_step_inner_loop_matches_plain_loop(case, monkeypatch):
         return force(x, t)
 
     assert _loop_outcome(dynamics._run_symplectic, counted, consts, *rest) == expected
-    # given the constants, the regular steps of an undamped run evaluate the force inline
+    # given the constants, the regular steps of an undamped run evaluate the force inline, unless each
+    # step's v * v_new underflows
     samples = len(expected[0][0]) // 8 if isinstance(expected[1], list) else 0
-    if consts is not None and not rest[0] and samples > 100:
+    if consts is not None and not rest[0] and samples > 100 and case != "underflowing-turn-product":
         assert len(calls) < samples // 10
     # each case reaches the exit it is named for
     kinds = {e[0] for e in expected[1]} if isinstance(expected[1], list) else set()
@@ -1028,6 +1044,17 @@ def test_fixed_step_inner_loop_matches_plain_loop(case, monkeypatch):
         assert np.frombuffer(expected[0][0]).tolist() == [0.0, _LOOP_CASES[case][6]]
     if case == "negative-turn-fails":
         assert "interior displacement went negative" in expected[1]
+    if case in ("block-entered-at-rest", "underflowing-turn-product", "negative-x-after-corner"):
+        t, x, _ = (np.frombuffer(b) for b in expected[0])
+        assert expected[2] == dynamics.TERMINATED_HORIZON and t[-1] == _LOOP_CASES[case][6]
+    if case == "block-entered-at-rest":
+        # the start's force, then the general body's on the first step, which the block left at v = 0
+        assert calls[:2] == [0.3, x[1]] and kinds == {EVENT_STAGNATION} and x.min() < 0.0
+    if case == "underflowing-turn-product":
+        assert len(calls) == samples and kinds == {EVENT_STAGNATION}
+    if case == "negative-x-after-corner":
+        first_return = min(e[1] for e in expected[1] if e[0] == EVENT_RETURN)
+        assert kinds == {EVENT_RETURN} and np.any((t > first_return) & (x < 0.0)) and x.min() > -1e-6
 
 
 @pytest.mark.parametrize(
@@ -1065,3 +1092,35 @@ def test_adaptive_inline_force_matches_callable(params, x0, v0, t_max, ends):
     assert outcomes[0] == outcomes[1]
     assert made[0] > 500 and made[1] == 0
     assert outcomes[0][2] == ends and len(outcomes[0][1]) >= 1
+
+
+def _bits(y: float) -> bytes:
+    return struct.pack("<d", y)
+
+
+@given(st.floats(-2.0, 4.0, exclude_min=True, exclude_max=True), st.floats(0.0, 3.0), st.floats(0.0, 2.0),
+       st.floats(0.0, 2.0), st.floats(-2.0, 2.0))
+@example(-0.0, 0.0, 0.5, 0.4, 0.1)
+@example(5e-324, 0.3, 1.0, 0.4, -0.1)
+@example(-5e-324, 0.3, 1.0, 0.4, 0.0)
+@example(-2.0e-310, 0.0, 2.0, 1.0, 1.0)
+@example(-1.9999999999999998, 2.0, 2.0, 2.0, 2.0)
+@settings(max_examples=200, deadline=None)
+def test_force_copies_agree_bit_for_bit(x, xi, kappa, v, v0):
+    # math.pow is the libm pow that ** calls, bit for bit, over finite x in (-2, xi + 1); so make_force, the
+    # fixed-step block body and the Dormand-Prince stage force, each of which evaluates the expression with
+    # math.pow, agree with its operator form and with each other
+    assume(x < xi + 1.0)
+    m = ModelParams(xi=xi, v=v, kappa=kappa)
+    consts = xs, k, v2h = force_constants(m)
+    d = xs - x
+    assert _bits(math.pow(x, 3.0)) == _bits(x**3) and _bits(math.pow(d, 2.0)) == _bits(d**2)
+    assert _bits(make_force(m)(x)) == _bits(-x - k * x**3 + v2h / d**2)
+    if x >= 0.99:  # from the contact zone on, neither loop evaluates the expression inline
+        return
+    force, _ = _actuator(xi, v, kappa=kappa)  # make_force, called by the general fixed-step body and stages
+    expected = _loop_outcome(_reference_run_symplectic, force, consts, 0.0, x, v0, 1e-3, 5e-2, 1e-9, 1.0, False)
+    assert _loop_outcome(dynamics._run_symplectic, force, consts, 0.0, x, v0, 1e-3, 5e-2, 1e-9, 1.0, False) == expected
+    cfg = IntegratorConfig(scheme="adaptive", t_max=1e-2)
+    runs = [dynamics._run_adaptive(force, 0.0, x, v0, cfg, 1.0, xs, False, c) for c in (None, consts)]
+    assert [a.tobytes() for a in runs[0].arrays()] == [a.tobytes() for a in runs[1].arrays()]

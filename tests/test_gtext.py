@@ -1,17 +1,17 @@
-"""The trajectory CSV kernel prints each cell exactly as the "%.{p}g" template does."""
+"""The trajectory CSV kernel prints each cell exactly as the "%.{p}g" template does, as ASCII bytes."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pullin_dyn import IntegratorConfig, ModelParams, _gtext, integrate
+from pullin_dyn import IntegratorConfig, ModelParams, _gtext, cli, integrate
 
 COLS = 4
 
 
 def template_rows(block, precision):
-    # one "%.{p}g" % cell per cell, as the writer printed before the kernel
+    # one "%.{p}g" % cell per cell, as the writer printed before the kernel; the kernel's bytes are its .encode()
     text = f"%.{precision}g"
     return "".join(",".join(text % v for v in row) + "\n" for row in block.tolist())
 
@@ -47,7 +47,9 @@ def blocks(draw):
 def test_kernel_matches_template(drawn):
     values, precision = drawn
     block = as_block(values)
-    assert kernel_rows(block, precision) == template_rows(block, precision)
+    expected = template_rows(block, precision).encode()
+    assert kernel_rows(block, precision) == expected
+    assert _gtext.csv_rows(block, precision) == expected  # blocks this small take the template: bytes too
 
 
 @pytest.mark.parametrize(
@@ -60,8 +62,8 @@ def test_kernel_matches_template(drawn):
 )
 def test_kernel_near_half(value, precision, text):
     block = as_block([value, -value])
-    assert kernel_rows(block, precision) == template_rows(block, precision)
-    assert kernel_rows(block, precision).startswith(f"{text},-{text},")
+    assert kernel_rows(block, precision) == template_rows(block, precision).encode()
+    assert kernel_rows(block, precision).startswith(f"{text},-{text},".encode())
 
 
 def _edges():
@@ -79,7 +81,7 @@ def _edges():
 def test_kernel_edges(precision):
     edges = _edges()
     block = as_block(edges + [-v for v in edges])
-    assert kernel_rows(block, precision) == template_rows(block, precision)
+    assert kernel_rows(block, precision) == template_rows(block, precision).encode()
 
 
 @pytest.fixture(scope="module")
@@ -94,4 +96,15 @@ def trajectory_block():
 @pytest.mark.parametrize("precision", [12, 14])
 def test_text_does_not_depend_on_pass_size(trajectory_block, monkeypatch, cells, precision):
     monkeypatch.setattr(_gtext, "_MAX_CELLS", cells)
-    assert _gtext.csv_rows(trajectory_block, precision) == template_rows(trajectory_block, precision)
+    assert _gtext.csv_rows(trajectory_block, precision) == template_rows(trajectory_block, precision).encode()
+
+
+@pytest.mark.parametrize("precision", [12, 17])  # the kernel and the template
+def test_written_trajectory_has_unix_line_ends(tmp_path, capsys, precision):
+    # the writer's binary file: "\n" ends every line, the last one too, and no "\r" appears on any platform
+    path = tmp_path / "traj.csv"
+    assert cli.main(["simulate", "--xi", "0", "--v", "0.4", "--dt", "1e-3", "--t-max", "12",
+                     "--precision", str(precision), "--output", str(path)]) == 0
+    data = path.read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n")
+    assert data.count(b"\n# event,return,") >= 1  # the event footers follow the rows
