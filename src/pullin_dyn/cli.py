@@ -413,10 +413,12 @@ def _cell(exc: PullInDynError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _by_slices(times, *cols: np.ndarray) -> list[np.ndarray]:
+def _by_slices(times, *cols: np.ndarray) -> tuple[np.ndarray, ...]:
     # a column-wise kernel on slices of at most _SLICE_ROWS rows, its results joined: each row's result as in one call
+    if len(cols[0]) <= _SLICE_ROWS:
+        return times(*cols)
     parts = [times(*(col[i:i + _SLICE_ROWS] for col in cols)) for i in range(0, len(cols[0]), _SLICE_ROWS)]
-    return [np.concatenate(part) for part in zip(*parts)]
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: tuple[str, ...]) -> dict:
@@ -510,7 +512,8 @@ def _write_sweep(path: str, spec: dict, table: dict) -> None:
         # return_index makes np.unique sort stably: that sort keeps 0.1 MB of code resident, quicksort 0.3 MB
         bits, _, index = np.unique(bits, return_index=True, return_inverse=True)
     texts = (f"%.{precision}g\n" * bits.size % tuple(bits.view(float).tolist())).split("\n")[:-1]
-    texts = [none if t == "nan" else _json_float(t, precision) if as_json else t for t in texts]
+    texts = [t if as_json and precision <= 15 and "." in t and "e" not in t  # already _json_float's text
+             else none if t == "nan" else _json_float(t, precision) if as_json else t for t in texts]
     if index is not None:
         texts = np.array(texts, object)[index].tolist()
     cells = [none] * (n_rows * width)

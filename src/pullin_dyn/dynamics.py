@@ -439,12 +439,12 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
     samples with its times when it ends, evaluates make_force's expression
     inline with math.pow bound once (x <= x_lim < 1 <= xi + 1 there, so its
     guard never fires) and tests only x_new > x_lim and v * v_new <= 0, which
-    also breaks at v = 0 and on underflow, each time for one general-body step
-    and a new block. Every other step (the partial last one, the zone, the
-    trigger, a turn, every step of a damped run or of one given no constants)
-    leaves the block before it commits anything and takes the general body,
-    which calls force. Both do the same arithmetic in the same order, so the
-    results are bit for bit those of the general body alone.
+    also breaks on underflow. A block starts only at v * v > 0, so rest and
+    underflowing products skip its set-up. Every other step (the partial
+    last one, the zone, the trigger, a turn, every step of a damped run or of
+    one given no constants) leaves the block before it commits anything and
+    takes the general body, which calls force. Both do the same arithmetic in
+    the same order, so the results are bit for bit those of the general body.
     """
     _check_step_budget(cfg.t_max, cfg.dt)
     col = _Collector()
@@ -475,7 +475,7 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
                      lambda tq: _hermite(t, x, v, t_new, x_new, v_new, tq), _REFINE_TOL, project_origin)
 
     while t < t_max:
-        if t <= t_lim and x <= x_lim:
+        if t <= t_lim and x <= x_lim and v * v > 0.0:
             steps[0] = t
             np.add.accumulate(steps, out=ts)
             k = min(int(ts.searchsorted(t_lim, "right")), _BLOCK)  # the block's steps that start at or below t_lim

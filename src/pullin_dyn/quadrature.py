@@ -10,18 +10,18 @@ at x = 1, so its sqrt(xi + 1 - x) factor, which varies on a width xi at the
 contact surface, becomes sqrt(xi + 1) cos(theta), smooth for every xi >= 0.
 
 Just above the pull-in voltage the contact-time integrand has a peak of
-half-width ~ sqrt(v - v_dpi) at the pull-in position; a sinh map centred on
-the peak (Johnston & Elliott, IJNME 62 (2005) 564) makes it smooth. Every
-rule doubles its Gauss-Legendre order up to a fixed cap and fails past it.
-The kernels (stagnation_times, contact_times) integrate arrays of points as
-one nodes-by-points matrix; the scalar functions run them on one point.
+half-width ~ sqrt(v - v_dpi) at the pull-in position: a narrow one takes a sinh
+map centred on it (Johnston & Elliott, IJNME 62 (2005) 564), a wide one the
+plain rule (see contact_times). Every rule doubles its Gauss-Legendre order
+until two orders agree to 1e-10 relative, up to a fixed cap, and fails past it.
+The kernels integrate arrays of points as one points-by-nodes matrix, by rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,7 +45,9 @@ from .model import ModelParams, deflate, g_coeffs
 _BASE_NODES = 32
 _MAX_NODES = 1024
 _RTOL = 1e-10
+_WIDE_PEAK = 0.1  # eps / theta_end from which contact_times takes the plain rule
 _HALF_PI = 0.5 * math.pi  # theta range of the sin^2 substitution
+_row_dot = getattr(np, "vecdot", None) or functools.partial(np.einsum, "ij,j->i")  # einsum before numpy 2
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ class TimeScales:
     err_est: float | None = None
 
 
-@lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32)
 def gauss_nodes(n: int, length: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights of order n mapped to [0, length]."""
     x, w = np.polynomial.legendre.leggauss(n)
@@ -76,28 +78,29 @@ def gauss_nodes(n: int, length: float) -> tuple[np.ndarray, np.ndarray]:
 def _gauss_doubling(integrand, *cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate over [0, pi/2] by node doubling, column-wise.
 
-    integrand(theta, *cols) maps the nodes theta, an (n, 1) array, and the
-    parameter arrays of the open columns to the (n, columns) matrix of
-    integrand values. A column leaves once successive values agree to
-    _RTOL, and only the open columns are refined. Returns per column the
-    value, the node count and err_est, the change from the previous order;
-    a column still open at _MAX_NODES nodes has value nan (see _cap_error).
+    integrand(theta, *cols) maps the nodes theta, an (n,) array, and the open
+    columns' parameters, (columns, 1) arrays, to the (columns, n) matrix of its
+    values, each row summed on its own. A column leaves once two orders agree
+    to _RTOL. Returns per column the value, the node count and err_est, the
+    last change; a column open at _MAX_NODES has value nan (see _cap_error).
     """
     size = len(cols[0])
     value, err_est, nodes = np.full(size, np.nan), np.full(size, np.nan), np.full(size, _MAX_NODES)
-    idx = np.arange(size)
+    idx, cols = np.arange(size), [c[:, None] for c in cols]
     n = _BASE_NODES
     theta, w = gauss_nodes(n, _HALF_PI)
-    prev = w @ integrand(theta[:, None], *cols) if size else None
+    prev = _row_dot(integrand(theta, *cols), w) if size else None
     while idx.size and n < _MAX_NODES:
         n *= 2
         theta, w = gauss_nodes(n, _HALF_PI)
-        cur = w @ integrand(theta[:, None], *cols)
+        cur = _row_dot(integrand(theta, *cols), w)
         change = np.abs(cur - prev)
         err_est[idx] = change
         done = change <= _RTOL * np.maximum(np.abs(cur), 1e-300)
         if done.any():
             value[idx[done]], nodes[idx[done]] = cur[done], n
+            if done.all():  # no open column left to slice
+                break
             idx, cur, cols = idx[~done], cur[~done], [c[~done] for c in cols]
         prev = cur
     return value, nodes, err_est
@@ -146,18 +149,18 @@ def contact_times(xi, kappa, x0, a_sq):
 
     With x = top sin^2(theta) over sin^2(theta) <= 1/top the integrand is
     2 sqrt(top) cos(theta) sqrt((xi+1-x)/g(x)) with g strictly positive on
-    [0, 1). The touch-down regime takes top = xi+1, where xi+1-x =
-    top cos^2(theta) exactly; the contact regime keeps top = 1, where g(1) -> 0
-    as x_s -> 1.
+    [0, 1). The touch-down regime takes top = xi+1, where xi+1-x = top
+    cos^2(theta) exactly; the contact regime keeps top = 1 (g(1) -> 0 as x_s -> 1).
 
     g = a^2 + (x - x0)^2 q(x), with x0 the pull-in position, q the residual
     at v = 0 deflated twice at x0 and a^2 = a_sq, so 1/sqrt(g) peaks at x0
     with half-width sqrt(a^2/q(x0)), free of the cancellation in g near
-    v_dpi. A peak at or beyond x = 1 is an endpoint peak at x = 1. The
-    substitution theta = theta0 + eps sinh(u), with theta0 the peak and eps
-    its half-width carried into theta, spreads the peak over a unit width in
-    u, so the cost stays bounded as v approaches v_dpi. Returns
-    _gauss_doubling's value, nodes and err_est per point.
+    v_dpi; a peak at or beyond x = 1 is an endpoint peak at x = 1. Its
+    half-width eps in theta picks the rule: from _WIDE_PEAK of theta_end
+    (x = 1) on, the plain rule in theta, within 128 nodes, its node
+    trigonometry once per top; below it theta = theta0 + eps sinh(u) about
+    the peak theta0 bounds the cost as v -> v_dpi. The rules agree to 1e-13
+    relative. Returns _gauss_doubling's value, nodes and err_est per point.
     """
     q, _ = deflate(deflate(g_coeffs(xi, 0.0, kappa), x0)[0], x0)
     x_peak = np.minimum(x0, 1.0)
@@ -171,9 +174,20 @@ def contact_times(xi, kappa, x0, a_sq):
     # leaves a smooth integrand, which any positive eps maps
     eps = np.where(eps > 0.0, eps, 1.0)
 
+    theta_end = np.arcsin(np.sqrt(1.0 / top))  # x = 1
+    wide = eps >= _WIDE_PEAK * theta_end
+    tops = np.array(sorted(set(top[wide].tolist())))[:, None]
+    rate = np.arcsin(np.sqrt(1.0 / tops)) / _HALF_PI  # theta = rate t, up to x = 1
+
+    def plain(t, at_top, x0, a_sq, xs_top, q0, q1, q2):
+        sin, cos, at_top = np.sin(rate * t), np.cos(rate * t), at_top[:, 0]  # once per distinct top
+        x, h = (tops * sin * sin)[at_top], (tops * cos * cos)[at_top]
+        g = a_sq + (x - x0) ** 2 * ((q0 * x + q1) * x + q2)
+        return (2.0 * rate * np.sqrt(tops) * cos)[at_top] * np.sqrt((xs_top + h) / g)
+
     # theta = theta0 + eps sinh(u) over [u_lo, u_hi], u = u_lo + scale t, up to x = 1
     u_lo = -np.arcsinh(theta0 / eps)
-    scale = (np.arcsinh((np.arcsin(np.sqrt(1.0 / top)) - theta0) / eps) - u_lo) / _HALF_PI
+    scale = (np.arcsinh((theta_end - theta0) / eps) - u_lo) / _HALF_PI
 
     def mapped(t, u_lo, scale, eps, amp, theta0, x_peak, shift, a_sq, top, xs_top, q0, q1, q2):
         u = u_lo + scale * t
@@ -185,8 +199,16 @@ def contact_times(xi, kappa, x0, a_sq):
         cos = np.cos(theta)
         return amp * np.cosh(u) * cos * np.sqrt((xs_top + top * cos * cos) / g)
 
-    amp = 2.0 * eps * scale * np.sqrt(top)
-    return _gauss_doubling(mapped, u_lo, scale, eps, amp, theta0, x_peak, x_peak - x0, a_sq, top, xs_top, *q)
+    amp, shift = 2.0 * eps * scale * np.sqrt(top), x_peak - x0
+    value, nodes, err_est = np.empty(len(top)), np.empty(len(top), int), np.empty(len(top))
+    for side, rule, cols in ((wide, plain, (tops[:, 0].searchsorted(top), x0, a_sq, xs_top, *q)),
+                             (~wide, mapped, (u_lo, scale, eps, amp, theta0, x_peak, shift, a_sq, top, xs_top, *q))):
+        n_side = np.count_nonzero(side)
+        if n_side == len(top):  # one rule for the whole batch
+            return _gauss_doubling(rule, *cols)
+        if n_side:  # a mixed batch: each rule on its own columns
+            value[side], nodes[side], err_est[side] = _gauss_doubling(rule, *(c[side] for c in cols))
+    return value, nodes, err_est
 
 
 def period_by_quadrature(

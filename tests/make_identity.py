@@ -44,6 +44,8 @@ CI = [
     (["pullin", "--xi", "0.5"], False),
     (["classify", "--xi", "0.5", "--v", "0.5"], False),
     (["period", "--xi", "0.5", "--v", "0.5", "--method", "both"], False),
+    (["simulate", "--xi", "0.3", "--v", "1.0", "--t-max", "3"], True),
+    (["sweep", "--xi", "0.5", "--v-min", "0.9195", "--v-max", "2.76", "--v-steps", "12", "--format", "csv"], True),
 ]
 
 

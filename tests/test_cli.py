@@ -810,6 +810,8 @@ _DOUBLES = st.one_of(
 def test_json_float_is_json_dumps_of_the_g_text(precision, x):
     text = f"%.{precision}g" % x
     assert cli._json_float(text, precision) == json.dumps(float(text))
+    if precision <= 15 and "." in text and "e" not in text:  # the case _write_sweep takes without the call
+        assert cli._json_float(text, precision) == text
 
 
 def _untimed(stdout):

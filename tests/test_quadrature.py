@@ -26,11 +26,13 @@ from pullin_dyn import (
     integrate,
     period_by_quadrature,
 )
+from pullin_dyn import quadrature
 from pullin_dyn.quadrature import (
     _HALF_PI,
     _MAX_NODES,
     _gauss_doubling,
     _one_row,
+    _row_dot,
     contact_times,
     gauss_nodes,
 )
@@ -153,7 +155,7 @@ def test_node_doubling_error_estimates_decrease():
 
     def integrand(theta, scale):
         f = scale / (1.0 + theta**2)
-        values.append(float(gauss_nodes(len(theta), _HALF_PI)[1] @ f[:, 0]))
+        values.append(float(_row_dot(f, gauss_nodes(len(theta), _HALF_PI)[1])[0]))
         return f
 
     value, nodes, err_est = _gauss_doubling(integrand, np.ones(1))
@@ -225,7 +227,8 @@ def _mp_contact_time(xi: float, kappa: float, delta: float) -> tuple[float, mpma
 
     Independent of the package: x0 solves g'(x0) = 0, v_dpi^2 = -(xi+1) g(x0)
     at v = 0, and the integral of sqrt((xi+1-x)/(x g(x))) over [0, 1] is split
-    at breakpoints clustered geometrically around x0.
+    at breakpoints clustered geometrically around x0. A negative delta with
+    x0 > 1 is a point of the contact regime (x_s > 1).
     """
     with mpmath.workdps(40):
         xs, kap = mpmath.mpf(xi) + 1, mpmath.mpf(kappa)
@@ -243,7 +246,7 @@ def _mp_contact_time(xi: float, kappa: float, delta: float) -> tuple[float, mpma
         def f(x):
             return mpmath.sqrt((xs - x) / (x * (vv + g0(x))))
 
-        width = mpmath.sqrt(vv + g0(x0))
+        width = mpmath.sqrt(abs(vv + g0(x0)))
         offsets = [width * mpmath.mpf(10) ** k for k in range(13)]
         pts = sorted({mpmath.mpf(0), mpmath.mpf(1), x0}
                      | {x0 + s * d for d in offsets for s in (-1, 1)})
@@ -263,6 +266,9 @@ _ORACLE_CASES = (
        for d in (1e-6, 1e-3, 1e-1, 1.0)]
     # below delta ~ 1e-9 the double rounding of v_dpi moves t_c by ~1e-16/delta
     + [(xi, k, 1e-9, 1e-7) for xi, k in ((0.5, 0.0), (0.3, 0.5), (0.0, 1.5))]
+    # wide peaks, which take the plain rule: far above v_dpi, and the contact regime at xi = 2
+    + [(xi, f * convexity_bound(xi), d, 1e-12) for xi in (0.0, 1e-5, 0.5) for f in (0.0, 0.5) for d in (0.1, 1.0, 10.0)]
+    + [(2.0, f * convexity_bound(2.0), d, 1e-12) for f in (0.0, 0.5) for d in (-1e-2, -1e-3, 1e-2)]
 )
 
 
@@ -272,8 +278,57 @@ def test_contact_time_matches_mpmath_oracle(xi, kappa, delta, rel):
     m = ModelParams(xi=xi, v=v, kappa=kappa)
     # delta = 1e-12 lies inside the default critical band; narrow it
     cls = classify_regime(m, eps_v=1e-15)
-    assert cls.regime == REGIME_TOUCHDOWN
+    assert cls.regime == (REGIME_TOUCHDOWN if delta > 0.0 else REGIME_CONTACT)
     assert contact_time_by_quadrature(m, cls=cls) == pytest.approx(float(ref), rel=rel)
+
+
+def _contact_columns(points):
+    # contact_times's arrays (xi, kappa, x0, a_sq) of (xi, kappa, delta) points, v = v_dpi (1 + delta)
+    cols = []
+    for xi, kappa, delta in points:
+        m = ModelParams(xi=xi, v=cubic_pullin(xi, kappa).v_dpi * (1.0 + delta), kappa=kappa)
+        cls = classify_regime(m, eps_v=1e-15)
+        assert cls.regime in (REGIME_TOUCHDOWN, REGIME_CONTACT)
+        cols.append((xi, kappa, cls.threshold.x0, cls.a_sq))
+    return [np.array(c) for c in zip(*cols)]
+
+
+# eps / theta_end of each point: the switch lies at quadrature._WIDE_PEAK = 0.1
+_NEAR_SWITCH = [(0.0, 0.0, 1e-2), (0.0, 0.0, 3e-2), (0.5, 0.0, 1e-2), (0.0, 0.5, 3e-2),  # 0.045-0.079: mapped
+                (0.0, 0.0, 1e-1), (0.5, 0.0, 3e-2), (0.0, 0.5, 1e-1), (0.5, 0.3, 3e-2)]  # 0.12-0.15: plain
+
+
+def test_contact_rules_agree_on_both_sides_of_the_switch(monkeypatch):
+    cols = _contact_columns([(xi, f * convexity_bound(xi), d) for xi, f, d in _NEAR_SWITCH])
+    chosen = contact_times(*cols)
+    by_rule = {}
+    for rule, switch in (("plain", 0.0), ("mapped", math.inf)):
+        monkeypatch.setattr(quadrature, "_WIDE_PEAK", switch)
+        by_rule[rule] = contact_times(*cols)
+    np.testing.assert_allclose(by_rule["plain"][0], by_rule["mapped"][0], rtol=1e-13, atol=0.0)
+    # below the switch each column keeps the mapped rule, above it takes the plain one within 128 nodes
+    for k, rule in enumerate(["mapped"] * 4 + ["plain"] * 4):
+        assert [part[k] for part in chosen] == [part[k] for part in by_rule[rule]], k
+    assert chosen[1][4:].max() <= 128
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.0, 1e-5, 0.3, 0.5, 1.2, 2.0]), st.floats(0.0, 0.9),
+                          st.sampled_from([-1e-2, -1e-3, 1e-6, 1e-3, 1e-2, 3e-2, 0.1, 1.0])), min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_contact_time_of_a_column_is_the_same_alone_and_in_a_mixed_batch(draws):
+    # several tops (xi + 1, and 1 in the contact regime), narrow and wide peaks: each column's value, node
+    # count and error estimate are those of the column alone, bit for bit
+    points = [(0.0, 0.0, 1e-6), (0.5, 0.0, 1.0)]  # a narrow and a wide peak in every batch
+    for xi, f, delta in draws:
+        kappa = f * convexity_bound(xi)
+        m = ModelParams(xi=xi, v=cubic_pullin(xi, kappa).v_dpi * (1.0 + delta), kappa=kappa)
+        if classify_regime(m, eps_v=1e-15).regime in (REGIME_TOUCHDOWN, REGIME_CONTACT):
+            points.append((xi, kappa, delta))
+    cols = _contact_columns(points)
+    batch = contact_times(*cols)
+    for j in range(len(points)):
+        alone = contact_times(*(c[j:j + 1] for c in cols))
+        assert [part[j].tobytes() for part in batch] == [part[0].tobytes() for part in alone], points[j]
 
 
 @pytest.mark.parametrize("xi, delta", [(1e-5, 1e-11), (5e-6, 1e-10), (1e-6, 1e-3)])
