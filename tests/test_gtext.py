@@ -84,6 +84,28 @@ def test_kernel_edges(precision):
     assert kernel_rows(block, precision) == template_rows(block, precision).encode()
 
 
+@pytest.mark.parametrize("deferred", [-1.2345678901234567e100, -1e-100, -np.inf, np.nan, -5e-324])
+@pytest.mark.parametrize("precision", range(15))
+def test_deferred_cell_fits_a_short_fraction_row(precision, deferred):
+    # short fractions make a narrow row; the one deferred cell's template text (sign, p digits, point and an
+    # exponent) must still fit in it
+    block = as_block([1234.5, 0.5, 12.25, 99.0] * 3 + [deferred] + [0.5, 12.25, 99.0])
+    assert kernel_rows(block, precision) == template_rows(block, precision).encode()
+
+
+@pytest.mark.parametrize("precision", [1, 3, 6, 12, 14])
+def test_word_layouts_within_and_across_passes(monkeypatch, precision):
+    # integer parts below 100 share the lead word; from 100 and from 10^4 they take one and two words of their
+    # own: passes of each layout alone, then passes that mix them, with a sign and a pass edge inside each run
+    rng = np.random.default_rng(precision)
+    tops = [1e2] * 3 + [1e4] * 3 + [1e8] * 3 + [1e2, 1e4, 1e8] * 3
+    values = np.concatenate([rng.uniform(-top, top, 96) for top in tops])
+    values[::7] = np.trunc(values[::7])  # whole numbers: a row of all-NUL fraction words
+    monkeypatch.setattr(_gtext, "_MAX_CELLS", 256)
+    block = as_block(values.tolist())
+    assert kernel_rows(block, precision) == template_rows(block, precision).encode()
+
+
 @pytest.fixture(scope="module")
 def trajectory_block():
     # the t, x, v and H columns of a real 40,001-row run, a row count that is no multiple of any pass
@@ -92,7 +114,7 @@ def trajectory_block():
     return np.column_stack([traj.t, traj.x, traj.v, traj.energy])
 
 
-@pytest.mark.parametrize("cells", [2048, 4096])
+@pytest.mark.parametrize("cells", [1024, 2048, 4096])
 @pytest.mark.parametrize("precision", [12, 14])
 def test_text_does_not_depend_on_pass_size(trajectory_block, monkeypatch, cells, precision):
     monkeypatch.setattr(_gtext, "_MAX_CELLS", cells)
