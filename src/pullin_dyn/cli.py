@@ -19,6 +19,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -42,7 +43,7 @@ from .dynamics import (
     SCHEME_SYMPLECTIC,
     GenericForcedModel,
     IntegratorConfig,
-    Trajectory,
+    _stream,
     integrate,
     integrate_generic,
 )
@@ -72,12 +73,16 @@ _PHYS_FIELD = {"mass": "m", "spring_k": "k", "spring_k3": "k3"}  # the other fla
 _NORM_KEYS = tuple(f.name for f in fields(ModelParams))
 _CFG_KEYS = tuple(f.name for f in fields(IntegratorConfig))  # "scheme" first
 _SWEEP_COLUMNS = ("x_s", "t_p", "t_c", "regime", "v_dpi", "x_dpi")
-# Trajectory rows formatted per write: whole-file joins cost megabytes of text.
+# Trajectory rows formatted and written at once, as the run makes them: a run keeps at most a chunk and a block of
+# fixed steps, and whole chunks keep the text kernel's passes whole.
 _CSV_CHUNK_ROWS = 4096
 _JSON_NAMES = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}  # by the float's repr
 _to_json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), without an encoder per call
 _MIN_DISTINCT = 100  # sweep float cells from which each distinct one is formatted once (np.unique breaks even)
-_MAX_ROWS = 10**6  # rows a sweep may have; 100,000 rows peak at 112 MB, mostly the table and the writer's text
+_MAX_ROWS = 10**6  # rows a sweep may have
+# rows of a sweep block, computed and written before the next: the table and the writer's text of one block take
+# about 0.75 KB a row
+_BLOCK_ROWS = 16384
 _SLICE_ROWS = 2048  # rows per quadrature kernel call: its node-by-row matrices stay a few MB
 
 
@@ -303,51 +308,66 @@ def cmd_classify(args: argparse.Namespace, precision: int) -> dict:
     return out
 
 
-def _write_trajectory_csv(
-    path: str, traj: Trajectory, m: ModelParams, cfg: IntegratorConfig, precision: int
-) -> None:
-    # Each cell, event footers included, is "%.{p}g" % x, which needs no csv quoting. Chunks bound the text
-    # and stacked copy held. The file is binary: the rows come as ASCII bytes. The text module is imported
-    # here, so commands that write no trajectory neither compile nor load it.
-    from ._gtext import csv_rows
-
-    text, with_h = f"%.{precision}g", m.mu == 0.0
-    columns = [traj.t, traj.x, traj.v] + ([traj.energy] if with_h else [])  # every undamped run keeps H
-    with open(path, "wb") as fh:
-        fh.write(
-            f"# pullin-dyn simulate version={__version__}\n"
-            f"# params xi={m.xi!r} v={m.v!r} kappa={m.kappa!r} mu={m.mu!r}\n"
-            f"# config scheme={cfg.scheme} dt={cfg.dt!r} t_max={cfg.t_max!r} "
-            f"contact_epsilon={cfg.contact_epsilon!r}\n"
-            f"{','.join(['t', 'x', 'v'] + (['H'] if with_h else []))}\n".encode()
-        )
-        for i in range(0, len(traj), _CSV_CHUNK_ROWS):
-            fh.write(csv_rows(np.column_stack([c[i : i + _CSV_CHUNK_ROWS] for c in columns]), precision))
-        fh.write("".join([f"# event,{ev.kind},{text % ev.t},{text % ev.x}\n" for ev in traj.events]).encode())
-
-
 def cmd_simulate(args: argparse.Namespace, precision: int) -> dict:
+    """Integrate and write the CSV chunk by chunk as the run goes (dynamics._stream).
+
+    Each cell, event footers included, is "%.{p}g" % x, which needs no csv
+    quoting; the rows come from the text module as ASCII bytes. The file is
+    made beside the output at the first chunk and replaces it once the run
+    has finished, so a failed run leaves no file and an existing output as it
+    was. integrate_s excludes the time spent writing chunks, which write_s
+    counts with the footer.
+    """
+    from ._gtext import csv_rows  # imported here: commands that write no trajectory neither compile nor load it
+
     started = time.perf_counter()
     _require(args, "output")
     m = _resolve_model(args)
     cfg = _resolve_cfg(args)
     resolved = time.perf_counter()
-    traj = integrate(m, cfg)
-    integrated = time.perf_counter()
-    _write_trajectory_csv(args.output, traj, m, cfg, precision)
+    head = (
+        f"# pullin-dyn simulate version={__version__}\n"
+        f"# params xi={m.xi!r} v={m.v!r} kappa={m.kappa!r} mu={m.mu!r}\n"
+        f"# config scheme={cfg.scheme} dt={cfg.dt!r} t_max={cfg.t_max!r} "
+        f"contact_epsilon={cfg.contact_epsilon!r}\n"
+        f"{','.join(['t', 'x', 'v'] + (['H'] if m.mu == 0.0 else []))}\n"
+    ).encode()
+    part, fh, writing = f"{args.output}.{os.getpid()}.part", None, 0.0
+
+    def sink(*columns) -> None:  # t, x, v and H, which is None in a damped run
+        nonlocal fh, writing
+        began = time.perf_counter()
+        if fh is None:
+            fh = open(part, "wb")
+            fh.write(head)
+        fh.write(csv_rows(np.column_stack([c for c in columns if c is not None]), precision))
+        writing += time.perf_counter() - began
+
+    try:
+        col = _stream(m, cfg, sink, _CSV_CHUNK_ROWS)  # the last chunk makes the file, if no earlier one did
+        integrated = time.perf_counter()
+        text = f"%.{precision}g"
+        fh.write("".join([f"# event,{ev.kind},{text % ev.t},{text % ev.x}\n" for ev in col.events]).encode())
+        fh.close()
+        os.replace(part, args.output)
+    except BaseException:
+        if fh is not None:
+            fh.close()
+            os.remove(part)
+        raise
     stages = {
         "resolve_s": resolved - started,
-        "integrate_s": integrated - resolved,
-        "write_s": time.perf_counter() - integrated,
+        "integrate_s": integrated - resolved - writing,
+        "write_s": writing + time.perf_counter() - integrated,
     }
     return _record(
         "simulate",
         {"xi": m.xi, "v": m.v, "kappa": m.kappa, "mu": m.mu, **asdict(cfg)},
         {
-            "samples": len(traj),
-            "terminated_by": traj.terminated_by,
-            "energy_drift": traj.energy_drift,
-            "events": [[e.kind, e.t, e.x] for e in traj.events],
+            "samples": col.samples,
+            "terminated_by": col.terminated_by,
+            "energy_drift": col.energy_drift,
+            "events": [[e.kind, e.t, e.x] for e in col.events],
             "path": args.output,
         },
         stages,
@@ -421,8 +441,8 @@ def _by_slices(times, *cols: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: tuple[str, ...]) -> dict:
-    """The sweep table as columns, computed in one pass over arrays of rows.
+def _sweep_rows(pairs: list[tuple[float, float]], vs: list[float], wanted: tuple[str, ...]) -> dict:
+    """The sweep table of (xi, kappa) pairs by voltages as columns, computed in one pass over arrays of rows.
 
     The rows of an (xi, kappa) pair share its cached pull-in point, and the
     xi, kappa and error columns repeat each pair's cell. An invalid input, a
@@ -438,7 +458,7 @@ def _sweep_rows(xis: list[float], kappas: list[float], vs: list[float], wanted: 
         except PullInDynError as exc:
             return _cell(exc)
 
-    n_v, pairs = len(vs), [(xi, kappa) for xi in xis for kappa in kappas]
+    n_v = len(vs)
     pulls = [pull(xi, kappa, 0.0) for xi, kappa in pairs]
     per_pair = [(xi, kappa, *(np.nan,) * 3) if isinstance(p, str) else (xi, kappa, p.x0, p.v_dpi, p.x_dpi)
                 for (xi, kappa), p in zip(pairs, pulls)]
@@ -497,42 +517,59 @@ def _csv_text(cell: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _write_sweep(path: str, spec: dict, table: dict) -> None:
-    # The float columns (arrays with NaN, or lists with None, for no value) take "%.{p}g" % x from one % call, in
-    # JSON then _json_float, as json.dumps writes _round_floats's value; from _MIN_DISTINCT cells on, once per
-    # distinct bit pattern (0.0 and -0.0 apart). Other cells take json.dumps's or csv.writer's text. One % call on
-    # the row template writes all rows; JSON rows take the sorted keys, as json.dumps does.
+def _write_sweep(path: str, spec: dict, table: dict, more=()) -> None:
+    # The rows of table, then those of each table of more, which may make each one as the writer reaches it: CSV
+    # appends them, JSON joins them with ", ". The float columns (arrays with NaN, or lists with None, for no value)
+    # take "%.{p}g" % x from one % call per table, in JSON then _json_float, as json.dumps writes _round_floats's
+    # value; from _MIN_DISTINCT cells on, once per distinct bit pattern (0.0 and -0.0 apart). Other cells take
+    # json.dumps's or csv.writer's text. One % call on the row template writes a table's rows; JSON rows take the
+    # sorted keys, as json.dumps does.
     precision, as_json = spec["precision"], spec["format"] == "json"
     columns = ["xi", "kappa", "v", *spec["outputs"], "error"]
     keys = sorted(set(columns)) if as_json else columns
-    none, n_rows, width = "null" if as_json else "", len(table["error"]), len(keys)
+    none, width = "null" if as_json else "", len(keys)
     at = [j for j, k in enumerate(keys) if k not in ("regime", "error")]  # the float cells' places in a row
-    bits, index = np.array([table[keys[j]] for j in at], float).ravel().view(np.int64), None  # column by column
-    if bits.size >= _MIN_DISTINCT:
-        # return_index makes np.unique sort stably: that sort keeps 0.1 MB of code resident, quicksort 0.3 MB
-        bits, _, index = np.unique(bits, return_index=True, return_inverse=True)
-    texts = (f"%.{precision}g\n" * bits.size % tuple(bits.view(float).tolist())).split("\n")[:-1]
-    texts = [t if as_json and precision <= 15 and "." in t and "e" not in t  # already _json_float's text
-             else none if t == "nan" else _json_float(t, precision) if as_json else t for t in texts]
-    if index is not None:
-        texts = np.array(texts, object)[index].tolist()
-    cells = [none] * (n_rows * width)
-    for i, j in enumerate(at):
-        cells[j::width] = texts[i * n_rows : (i + 1) * n_rows]
-    for j in set(range(width)).difference(at):
-        memo = {c: none if c is None else (json.dumps if as_json else _csv_text)(c) for c in set(table[keys[j]])}
-        cells[j::width] = map(memo.__getitem__, table[keys[j]])
+    row = "{" + ", ".join(f'"{k}": %s' for k in keys) + "}" if as_json else ",".join(["%s"] * width) + "\n"
+
+    def rows(table: dict) -> str:
+        n_rows = len(table["error"])
+        bits, index = np.array([table[keys[j]] for j in at], float).ravel().view(np.int64), None  # column by column
+        if bits.size >= _MIN_DISTINCT:
+            # return_index makes np.unique sort stably: that sort keeps 0.1 MB of code resident, quicksort 0.3 MB
+            bits, _, index = np.unique(bits, return_index=True, return_inverse=True)
+        texts = (f"%.{precision}g\n" * bits.size % tuple(bits.view(float).tolist())).split("\n")[:-1]
+        texts = [t if as_json and precision <= 15 and "." in t and "e" not in t  # already _json_float's text
+                 else none if t == "nan" else _json_float(t, precision) if as_json else t for t in texts]
+        if index is not None:
+            texts = np.array(texts, object)[index].tolist()
+        cells = [none] * (n_rows * width)
+        for i, j in enumerate(at):
+            cells[j::width] = texts[i * n_rows : (i + 1) * n_rows]
+        for j in set(range(width)).difference(at):
+            memo = {c: none if c is None else (json.dumps if as_json else _csv_text)(c) for c in set(table[keys[j]])}
+            cells[j::width] = map(memo.__getitem__, table[keys[j]])
+        return (", ".join([row] * n_rows) if as_json else row * n_rows) % tuple(cells)
+
     spec_text = _to_json(_round_floats(spec, precision))
+    if as_json:
+        head, sep, tail = f'{{"columns": {json.dumps(columns)}, "rows": [', ", ", f'], "spec": {spec_text}}}\n'
+    else:
+        head, sep, tail = f"# pullin-dyn sweep version={__version__}\n# spec {spec_text}\n{','.join(columns)}\n", "", ""
     with open(path, "w", newline=None if as_json else "") as fh:
-        if as_json:
-            rows = ", ".join(["{" + ", ".join(f'"{k}": %s' for k in keys) + "}"] * n_rows) % tuple(cells)
-            fh.write(f'{{"columns": {json.dumps(columns)}, "rows": [{rows}], "spec": {spec_text}}}\n')
-        else:
-            head = f"# pullin-dyn sweep version={__version__}\n# spec {spec_text}\n{','.join(columns)}\n"
-            fh.write(head + (",".join(["%s"] * width) + "\n") * n_rows % tuple(cells))
+        text = head + rows(table)
+        for later in more:
+            fh.write(text)
+            text = sep + rows(later)
+        fh.write(text + tail)
 
 
 def cmd_sweep(args: argparse.Namespace, precision: int) -> dict:
+    """Compute and write the sweep table in blocks of at most _BLOCK_ROWS rows, one block at a time.
+
+    A block is whole (xi, kappa) pairs, or a slice of one pair's voltages
+    where that pair alone has more rows. rows_s counts the time spent
+    computing blocks and write_s the rest.
+    """
     _require(args, "v_min", "v_max", "v_steps", "output")
     v_min, v_max, v_steps = _finite(args.v_min, "--v-min"), _finite(args.v_max, "--v-max"), args.v_steps
     if not (v_min < v_max and v_steps >= 2):
@@ -550,18 +587,27 @@ def cmd_sweep(args: argparse.Namespace, precision: int) -> dict:
         raise InvalidParameterError("jobs must be >= 1")
 
     started = time.perf_counter()
-    table = _sweep_rows(xis, kappas, vs, wanted)
-    rows_done = time.perf_counter()
+    pairs = list(itertools.product(xis, kappas))
+    per, step = max(_BLOCK_ROWS // v_steps, 1), min(v_steps, _BLOCK_ROWS)  # pairs and voltages per block
+    blocks = [(pairs[i:i + per], vs[j:j + step]) for i in range(0, len(pairs), per) for j in range(0, v_steps, step)]
+    computing = 0.0
 
+    def block_rows(block: tuple) -> dict:
+        nonlocal computing
+        began = time.perf_counter()
+        table = _sweep_rows(*block, wanted)
+        computing += time.perf_counter() - began
+        return table
+
+    table = block_rows(blocks[0])
     spec = {"xi": xis if len(xis) > 1 else xis[0], "kappa": kappas if len(kappas) > 1 else kappas[0],
             "v_min": v_min, "v_max": v_max, "v_steps": v_steps, "outputs": list(wanted),
             "format": getattr(args, "format", "csv"), "precision": precision}
-    _write_sweep(args.output, spec, table)
+    _write_sweep(args.output, spec, table, map(block_rows, blocks[1:]))
 
-    stages = {"rows_s": rows_done - started, "write_s": time.perf_counter() - rows_done}
-    return _record(
-        "sweep", {**spec, "output": args.output}, {"rows": len(table["error"]), "path": args.output}, stages
-    )
+    elapsed = time.perf_counter() - started
+    stages = {"rows_s": computing, "write_s": elapsed - computing}
+    return _record("sweep", {**spec, "output": args.output}, {"rows": rows, "path": args.output}, stages)
 
 
 def cmd_generic(args: argparse.Namespace, precision: int) -> dict:

@@ -279,11 +279,16 @@ def energy_series(traj: Trajectory, m: ModelParams) -> np.ndarray:
     call allocates two arrays of the samples' size (model.energy on arrays
     allocates one per operation) and returns bit for bit the same values.
     """
+    return _energy(traj, m, np.empty(len(traj.x)))
+
+
+def _energy(traj: Trajectory, m: ModelParams, term: np.ndarray) -> np.ndarray:
+    # energy_series with term, an array of the samples' size, as its scratch
     x, v = traj.x, traj.v
     with np.errstate(over="ignore", invalid="ignore"):
         h = np.multiply(0.5, v)
         h *= v
-        term = np.multiply(0.5, x)
+        np.multiply(0.5, x, out=term)
         term *= x
         h += term
         np.power(x, 4, out=term)
@@ -346,12 +351,25 @@ def _rk4_knots(f: Callable[[float], float], t: float, y: float, t_end: float, y_
 
 
 class _Collector:
-    """Accumulates samples as packed doubles, events and the termination cause; t must increase."""
+    """Accumulates samples as packed doubles, events and the termination cause; t must increase.
 
-    def __init__(self) -> None:
+    Given a sink, it hands the sink each whole chunk of rows samples (counted
+    from the first) once a later sample has come, so it keeps the last one,
+    against which add checks the next; drain(finish=True) hands on the rest.
+    A chunk is checked as a Trajectory's samples are, across chunks too, and
+    goes to the sink as views t, x, v and H, valid for the call: H is None
+    unless the collector has the model of an undamped run, whose energy
+    drift it keeps. samples counts the samples handed on.
+    """
+
+    def __init__(self, sink: Callable | None = None, rows: int = 0, m: ModelParams | None = None) -> None:
         self.t, self.x, self.v = array("d"), array("d"), array("d")
         self.events: list[Event] = []
         self.terminated_by = TERMINATED_HORIZON
+        self.sink, self.rows, self.m = sink, rows, m
+        self.high = rows if sink is not None else math.inf  # a drain is due once more samples than this are kept
+        self.samples, self.t_last, self.h0 = 0, -math.inf, None
+        self.drift_kept = self.drift_all = -1.0  # over the samples outside the contact layer and over all
 
     def touch_down(self, t: float, x: float, v: float, surface: float) -> None:
         t_c = t + (surface - x) / v if v > 0.0 else t  # drift from the trigger state
@@ -368,9 +386,40 @@ class _Collector:
         self.t.append(t)
         self.x.append(x)
         self.v.append(v)
+        if len(self.t) > self.high:
+            self.drain()
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:  # views, no copy: append no more
         return np.frombuffer(self.t), np.frombuffer(self.x), np.frombuffer(self.v)
+
+    def drain(self, finish: bool = False) -> None:
+        """Hand the sink every whole chunk but the one that holds the last sample, or at finish every sample."""
+        rows, n = self.rows, len(self.t)
+        if not finish:
+            n = (n - 1) // rows * rows
+        t, x, v = self.arrays()
+        for i in range(0, n, rows):
+            self._hand(t[i:i + rows], x[i:i + rows], v[i:i + rows])
+        del t, x, v  # no view may outlive this: an array that exports its buffer cannot shrink
+        for arr in (self.t, self.x, self.v):
+            del arr[:n]
+        self.samples += n
+
+    def _hand(self, t: np.ndarray, x: np.ndarray, v: np.ndarray) -> None:
+        traj = Trajectory(t, x, v)
+        if t[0] <= self.t_last:
+            raise IntegratorFailureError("samples not strictly increasing in t")
+        self.t_last, h = t.item(-1), None
+        if self.m is not None:
+            h = energy_series(traj, self.m)
+            self.h0 = h.item(0) if self.h0 is None else self.h0
+            kept, every = _drifts(h, self.h0, x <= 1.0 - _CONTACT_ZONE)  # the actuator's surface is x = 1
+            self.drift_kept, self.drift_all = max(self.drift_kept, kept), max(self.drift_all, every)
+        self.sink(t, x, v, h)
+
+    @property
+    def energy_drift(self) -> float | None:
+        return None if self.m is None else self.drift_kept if self.drift_kept >= 0.0 else self.drift_all
 
 
 def _turn(col: _Collector, t: float, t_new: float, v: float, v_at: Callable, x_at: Callable, xtol: float,
@@ -420,7 +469,8 @@ def _last_float(holds: Callable[[float], bool], lo: float, hi: float) -> float:
 
 
 def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float, v0: float, cfg: IntegratorConfig,
-                    surface: float, project_origin: bool, consts: tuple | None = None) -> _Collector:
+                    surface: float, project_origin: bool, consts: tuple | None = None,
+                    col: _Collector | None = None) -> _Collector:
     """Staggered position-velocity scheme with step halving near contact.
 
     The damping term enters the half kick explicitly and the full kick
@@ -445,9 +495,12 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
     one given no constants) leaves the block before it commits anything and
     takes the general body, which calls force. Both do the same arithmetic in
     the same order, so the results are bit for bit those of the general body.
+    A collector with a sink drains at the top of the loop, after a block or a
+    step of the general body has appended its samples.
     """
     _check_step_budget(cfg.t_max, cfg.dt)
-    col = _Collector()
+    col = _Collector() if col is None else col
+    pending, high = col.t, col.high
     t_append, x_append, v_append = col.t.append, col.x.append, col.v.append
     dt_base = cfg.dt
     zone = _CONTACT_ZONE * surface
@@ -475,6 +528,8 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
                      lambda tq: _hermite(t, x, v, t_new, x_new, v_new, tq), _REFINE_TOL, project_origin)
 
     while t < t_max:
+        if len(pending) > high:
+            col.drain()
         if t <= t_lim and x <= x_lim and v * v > 0.0:
             steps[0] = t
             np.add.accumulate(steps, out=ts)
@@ -605,7 +660,7 @@ def _dp5_dense(t: float, h: float, y: float, k) -> Callable[[float], float]:
 
 def _run_adaptive(force: Callable[[float, float], float], mu: float, x0: float, v0: float, cfg: IntegratorConfig,
                   surface: float, ceiling: float, project_origin: bool,
-                  consts: tuple[float, float, float] | None = None) -> _Collector:
+                  consts: tuple[float, float, float] | None = None, col: _Collector | None = None) -> _Collector:
     """Dormand-Prince 5(4) steps under RK45's control, with events found on each step.
 
     A step is accepted when the RMS over (x, v) of its error estimate, in
@@ -618,8 +673,9 @@ def _run_adaptive(force: Callable[[float, float], float], mu: float, x0: float, 
     tolerance, 4 eps (1 + |t|). A crossing needs a nonzero sign at the
     step's start, so a start at v = 0 is no event. Given the actuator's force
     constants (model.force_constants), stages evaluate make_force's expression.
+    The sample budget counts the samples a collector with a sink has handed on.
     """
-    col = _Collector()
+    col = _Collector() if col is None else col
     trigger = surface - cfg.contact_epsilon
     clamp = ceiling - 1e-13 * max(1.0, ceiling)
     t_max, atol = cfg.t_max, cfg.abs_tol
@@ -635,7 +691,7 @@ def _run_adaptive(force: Callable[[float, float], float], mu: float, x0: float, 
     col.add(t, x, v)
     fx, fv, h_abs = _start(rhs, t, x, v, t_max, rtol, atol)
     while t < t_max:
-        if len(col.t) >= _MAX_SAMPLES:  # each step keeps one sample
+        if col.samples + len(col.t) >= _MAX_SAMPLES:  # each step keeps one sample
             raise IntegratorFailureError(f"t_max={t_max} exceeds the adaptive budget of {_MAX_SAMPLES} samples")
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = _MAX_STEP if h_abs > _MAX_STEP else max(h_abs, min_step)
@@ -680,15 +736,21 @@ def _run_adaptive(force: Callable[[float, float], float], mu: float, x0: float, 
     return col
 
 
+def _drifts(h: np.ndarray, h0: float, keep: np.ndarray | None, out: np.ndarray | None = None) -> tuple[float, float]:
+    # max |H - H(0)| over the samples keep selects (-1.0 if none or keep is None) and over all, formed in out, the
+    # caller's scratch: a run's drift is the first, or the second where it keeps no sample; maxima of chunks combine
+    d = np.subtract(h, h0, out=out)
+    np.abs(d, out=d)
+    return -1.0 if keep is None else float(np.max(d, initial=-1.0, where=keep)), float(np.max(d))
+
+
 def _keep_energy(traj: Trajectory, m: ModelParams, keep: np.ndarray | None = None, out: np.ndarray | None = None):
-    # sets traj.energy (read-only) and traj.energy_drift, max |H - H(0)| over the samples keep selects, or
-    # over all of them when keep is None or selects none; that drift is formed in out, the caller's scratch
-    h = traj.energy = energy_series(traj, m)
+    # sets traj.energy (read-only) and traj.energy_drift over the samples keep selects (see _drifts); out, if
+    # given, is the scratch of both
+    h = traj.energy = energy_series(traj, m) if out is None else _energy(traj, m, out)
     h.setflags(write=False)
-    if keep is not None and np.any(keep):
-        h = out = h[keep]  # a copy
-    drift = np.subtract(h, traj.energy[0], out=out)
-    traj.energy_drift = float(np.max(np.abs(drift, out=drift)))
+    kept, every = _drifts(h, h.item(0), keep, out)
+    traj.energy_drift = kept if kept >= 0.0 else every
 
 
 def _finalize(col: _Collector, m: ModelParams | None, surface: float) -> Trajectory:
@@ -715,7 +777,18 @@ def integrate(
     displacement floor are then disabled. A start that is not finite, lies
     below -NEGATIVE_X_CLAMP or at or beyond the contact trigger is rejected.
     """
-    cfg = cfg or IntegratorConfig()
+    return _finalize(_integrate(m, cfg or IntegratorConfig(), x0, v0, _Collector()), m, 1.0)
+
+
+def _stream(m: ModelParams, cfg: IntegratorConfig, sink: Callable, rows: int) -> _Collector:
+    """integrate's run from rest, its samples handed to sink in chunks of rows as the run goes (see _Collector);
+    the collector returned holds the events, termination cause, sample count and energy drift of the run."""
+    col = _integrate(m, cfg, 0.0, 0.0, _Collector(sink, rows, m if m.mu == 0.0 else None))
+    col.drain(finish=True)
+    return col
+
+
+def _integrate(m: ModelParams, cfg: IntegratorConfig, x0: float, v0: float, col: _Collector) -> _Collector:
     if not (math.isfinite(x0) and math.isfinite(v0)):
         raise InvalidParameterError(f"initial state x0={x0}, v0={v0} is not finite")
     if x0 < -NEGATIVE_X_CLAMP:
@@ -731,18 +804,17 @@ def integrate(
 
     if v0 == 0.0 and a0 == 0.0:
         # exact equilibrium (zero voltage at rest): two-sample trajectory
-        col = _Collector()
         for t in (0.0, cfg.t_max):
             col.add(t, x0, 0.0)
-        return _finalize(col, m, 1.0)
+        return col
 
     def force(x: float, t: float) -> float:
         return fast(x)
 
     consts = force_constants(m)
-    col = (_run_adaptive(force, m.mu, x0, v0, cfg, 1.0, m.x_singular, project, consts)
-           if cfg.scheme == SCHEME_ADAPTIVE else _run_symplectic(force, m.mu, x0, v0, cfg, 1.0, project, consts))
-    return _finalize(col, m, 1.0)
+    if cfg.scheme == SCHEME_ADAPTIVE:
+        return _run_adaptive(force, m.mu, x0, v0, cfg, 1.0, m.x_singular, project, consts, col)
+    return _run_symplectic(force, m.mu, x0, v0, cfg, 1.0, project, consts, col)
 
 
 def verify_periodicity(traj: Trajectory) -> SymmetryReport:
@@ -835,11 +907,13 @@ def integrate_critical(
     elif t2[-1] < t_max:  # x is x0 in floating point: w grows at the rate r(x0) to the horizon
         t2, w2, d2 = np.append(t2, t_max), np.append(w2, w2[-1] + d2[-1] * (t_max - t2[-1])), np.append(d2, d2[-1])
 
-    # whole-grid passes below work in place, on as few arrays as the results need
-    t = np.arange(math.ceil(t_max / cfg.dt) + 1, dtype=float)
+    # whole-grid passes below work in place, on as few arrays as the results need: the grid k dt below
+    # t_max - 1e-12, then t_max, in the slots of one arange with a slot to spare
+    t = np.arange(math.ceil(t_max / cfg.dt) + 2, dtype=float)
     t *= cfg.dt
-    t = np.append(t[:np.searchsorted(t, t_max - 1e-12)], t_max)
-    t = t[:np.searchsorted(t, t_c)]
+    n = int(np.searchsorted(t[:-1], t_max - 1e-12))
+    t[n] = t_max
+    t = t[:np.searchsorted(t[:n + 1], t_c)]
     n1 = int(np.searchsorted(t, t1[-1], side="right"))
     s = _knot_hermite(t1, s1, d1, t[:n1])
     w = _knot_hermite(t2, w2, d2, t[n1:])
@@ -849,15 +923,19 @@ def integrate_critical(
     np.negative(w, out=log_gap[n1:])
     np.exp(log_gap[n1:], out=gap[n1:])
     np.log(gap[:n1], out=log_gap[:n1])
+    del s, w  # before x and v, which may take their memory
     events = []
     if t_c <= t_max:
         keep = gap > x0 - surface  # a sample within the refine tolerance of t_c may reach it
         t, gap = np.append(t[keep], t_c), np.append(gap[keep], x0 - surface)
         log_gap = np.append(log_gap[keep], math.log(x0 - surface))
         events.append(Event(EVENT_TOUCHDOWN, t_c, surface))
+    # judged on the logarithm (a[1:] < a[:-1] is a[1:] - a[:-1] < 0 for every pair of doubles), whose array
+    # then serves as the scratch tmp
+    decreasing, below = bool(np.all(log_gap[1:] < log_gap[:-1])), bool(np.all(np.isfinite(log_gap)))
     x = x0 - gap  # x0 - 1 is exact, so touch-down lands on the surface exactly
     # v = gap sqrt(x q(x)/(xs - x)) with q(x) = (c0 x + c1) x + c2
-    v, tmp = np.multiply(c0, x), np.subtract(xs, x)
+    v, tmp = np.multiply(c0, x), np.subtract(xs, x, out=log_gap)
     v += c1
     v *= x
     v += c2
@@ -869,14 +947,8 @@ def integrate_critical(
                       terminated_by=TERMINATED_TOUCHDOWN if events else TERMINATED_HORIZON)
     if m.mu == 0.0:
         _keep_energy(traj, m, out=tmp)
-    report = CriticalReport(
-        x_limit=x0,
-        final_gap=float(gap[-1]),
-        gap_strictly_decreasing=bool(np.all(np.subtract(log_gap[1:], log_gap[:-1], out=tmp[1:]) < 0.0)),
-        always_below_limit=bool(np.all(np.isfinite(log_gap))),
-        gap=gap,
-        steps=steps,
-    )
+    report = CriticalReport(x_limit=x0, final_gap=float(gap[-1]), gap_strictly_decreasing=decreasing,
+                            always_below_limit=below, gap=gap, steps=steps)
     return traj, report
 
 

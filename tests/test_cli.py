@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import pullin_dyn
 from pullin_dyn import (
     IntegratorConfig,
+    IntegratorFailureError,
     InvalidParameterError,
     ModelParams,
     PullInDynError,
@@ -309,6 +310,132 @@ def test_record_stages(capsys, tmp_path, argv, stages):
     assert a["config_hash"] == b["config_hash"]
 
 
+def _stripped(record):
+    # a run record without what may differ between two runs of the same command
+    outputs = {k: v for k, v in record["outputs"].items() if k != "path"}
+    return {**{k: v for k, v in record.items() if k not in ("wall_time_s", "stages", "outputs")}, "outputs": outputs}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--xi", "0.3", "--v", "0.35", "--kappa", "0.5", "--dt", "1e-3", "--t-max", "9.5"],  # periodic
+        ["--xi", "0.3", "--v", "1.0", "--t-max", "3"],  # touch-down
+        ["--xi", "0", "--v", "0.4", "--dt", "1e-3", "--t-max", "12"],  # two corner restarts
+        ["--xi", "0", "--v", "0.4", "--scheme", "adaptive", "--t-max", "200"],
+        ["--xi", "0", "--v", "0.4", "--dt", "1e-3", "--t-max", "5", "--precision", "15"],  # the template path
+        ["--xi", "0", "--v", "0.4", "--mu", "0.2", "--dt", "1e-3", "--t-max", "5"],  # damped: no H column
+    ],
+    ids=["periodic", "touchdown", "corner", "adaptive", "precision15", "damped"],
+)
+def test_simulate_streamed_in_chunks_matches_one_chunk(capsys, tmp_path, monkeypatch, argv):
+    # 7-row chunks, the default chunks and the whole run as one chunk write the same bytes and the same record
+    files, records = [], []
+    for rows in (7, _CSV_CHUNK_ROWS, 10**9):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", rows)
+        path = tmp_path / f"traj{rows}.csv"
+        records.append(_stripped(run_json(capsys, "simulate", *argv, "--output", str(path))))
+        files.append(path.read_bytes())
+    assert records[1:] == records[:-1] and files[1:] == files[:-1]
+    assert records[0]["outputs"]["samples"] > _CSV_CHUNK_ROWS  # more than one chunk at each size
+    assert sorted(os.listdir(tmp_path)) == [f"traj{rows}.csv" for rows in (10**9, 4096, 7)]
+    # and the library's Trajectory agrees with the streamed record
+    args = cli.build_parser().parse_args(["simulate", *argv])
+    m = cli._resolve_model(args)
+    traj = integrate(m, cli._resolve_cfg(args))
+    assert records[0]["outputs"]["samples"] == len(traj)
+    p = int(argv[argv.index("--precision") + 1]) if "--precision" in argv else 12
+    assert records[0]["outputs"]["energy_drift"] == (None if m.mu else float(f"%.{p}g" % traj.energy_drift))
+
+
+def test_simulate_stream_checks_and_counts_across_chunks():
+    # a sink sees each chunk once, in order: every sample counted, t strictly increasing across chunks, H as
+    # energy_series gives it for the whole run, and the drift as integrate's
+    m, cfg = ModelParams(xi=0.0, v=0.4), IntegratorConfig(dt=1e-3, t_max=12.0)
+    chunks = []
+    col = dynamics._stream(m, cfg, lambda *c: chunks.append([a.copy() for a in c]), 100)
+    traj = integrate(m, cfg)
+    assert [len(c[0]) for c in chunks[:-1]] == [100] * (len(chunks) - 1) and 0 < len(chunks[-1][0]) <= 100
+    for j, ref in enumerate((traj.t, traj.x, traj.v, traj.energy)):
+        assert np.concatenate([c[j] for c in chunks]).tobytes() == ref.tobytes()
+    assert col.samples == len(traj) and col.energy_drift == traj.energy_drift
+    assert (col.events, col.terminated_by) == (traj.events, traj.terminated_by)
+    with pytest.raises(IntegratorFailureError, match="samples not strictly increasing"):
+        bad = dynamics._Collector(lambda *c: None, 2, m)
+        for t in (0.0, 1.0, 2.0):
+            bad.add(t, 0.1, 0.0)
+        bad.t_last = 5.0  # as if an earlier chunk had ended after the kept samples
+        bad.drain(finish=True)
+
+
+@pytest.mark.parametrize("scheme", ["symplectic", "adaptive"])
+def test_simulate_failure_mid_run_leaves_no_file(capsys, tmp_path, monkeypatch, scheme):
+    # chunks of 7 rows, or of 1, are written before the run fails at its sample budget (adaptive) or at an
+    # energy that is not finite (v = 1e100, its second sample): the file beside the output is removed, and an
+    # existing output keeps its bytes
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 7 if scheme == "adaptive" else 1)
+    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 500)
+    written = []
+    real = dynamics._Collector._hand
+    monkeypatch.setattr(dynamics._Collector, "_hand", lambda self, *c: (written.append(1), real(self, *c)))
+    path = tmp_path / "traj.csv"
+    argv = (["--v", "0.4", "--scheme", "adaptive", "--t-max", "1e6"] if scheme == "adaptive"
+            else ["--v", "1e100", "--t-max", "1"])
+    for before in (None, b"an earlier file\n"):
+        if before is not None:
+            path.write_bytes(before)
+        written.clear()
+        code, out, err = run_cli(capsys, "simulate", "--xi", "0", *argv, "--output", str(path))
+        assert (code, out) == (4, "") and err.count("\n") == 1
+        assert ("adaptive budget of 500 samples" if scheme == "adaptive" else "energy inf is not finite") in err
+        assert sorted(os.listdir(tmp_path)) == ([] if before is None else ["traj.csv"])
+        assert before is None or path.read_bytes() == before
+        assert len(written) >= (2 if scheme == "symplectic" else 70)  # the failing chunk and those written before
+
+
+def test_simulate_memory_is_bounded_by_a_chunk(capsys, tmp_path):
+    # 200,002 samples: 4.8 MB of packed samples and 1.6 MB of H if the run were kept whole; streamed, the run keeps
+    # a chunk and a block of fixed steps, and the writer one chunk's text
+    path = tmp_path / "traj.csv"
+    run_json(capsys, "simulate", "--xi", "0", "--v", "0.4", "--t-max", "1", "--output", str(path))  # warm up
+    tracemalloc.start()
+    try:
+        record = run_json(capsys, "simulate", "--xi", "0", "--v", "0.4", "--t-max", "20", "--output", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record["outputs"]["samples"] == 200_002
+    assert peak < 1_500_000, peak
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_in_blocks_matches_one_block(capsys, tmp_path, monkeypatch, fmt):
+    # 9 pairs of 7 voltages, non-convex pairs and an invalid v among them (error cells): blocks of 5 rows split
+    # every pair, of 7 hold one pair, of 20 two pairs, and the default one block holds all; each file is the same
+    tables = []
+    write = cli._write_sweep
+    monkeypatch.setattr(cli, "_write_sweep", lambda path, spec, table, more: write(
+        path, spec, table, (tables.append(t) or t for t in more)))
+    files, records = [], []
+    for rows in (5, 7, 20, cli._BLOCK_ROWS):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
+        tables.clear()
+        path = tmp_path / f"sweep{rows}.{fmt}"
+        records.append(run_json(
+            capsys, "sweep", "--xi-range", "0", "2", "3", "--kappa-range", "0", "2", "3", "--v-min", "-0.1",
+            "--v-max", "3", "--v-steps", "7", "--format", fmt, "--output", str(path),
+        ))
+        files.append(path.read_bytes())
+        assert len(tables) + 1 == {5: 18, 7: 9, 20: 5}.get(rows, 1)
+        assert records[-1]["outputs"]["rows"] == 63
+        assert records[-1]["wall_time_s"] == pytest.approx(sum(records[-1]["stages"].values()), rel=1e-9)
+    assert files[1:] == files[:-1]
+    text = files[0].decode()
+    assert "ConvexityError" in text and "InvalidParameterError" in text
+    if fmt == "json":
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
 def test_simulate_rows_increasing_and_roundtrip(capsys, tmp_path):
     path = tmp_path / "traj.csv"
     run_json(
@@ -473,7 +600,7 @@ def test_sweep_rows_equal_scalar_api_on_grid():
                 v_dpi = pullin(xi, kappa).v_dpi
                 vs += [v_dpi, v_dpi * (1.0 + 1e-13)]
                 vs += [v_dpi * (1.0 + s * 10.0**-k) for s in (-1.0, 1.0) for k in (9, 7, 5, 3, 1)]
-    table = cli._sweep_rows(xis, kappas, vs, cli._SWEEP_COLUMNS)
+    table = cli._sweep_rows(list(itertools.product(xis, kappas)), vs, cli._SWEEP_COLUMNS)
     rows = _rows(table)
     assert len(rows) == len(xis) * len(kappas) * len(vs)
     regimes = {r["regime"] for r in rows}
@@ -492,7 +619,7 @@ def test_sweep_rows_equal_scalar_api_property(xi, kappa_frac, offsets):
     kappa = kappa_frac * 16.0 / (3.0 * (xi + 1.0) ** 2)
     v_dpi = pullin(xi, kappa).v_dpi
     vs = [max(v_dpi * (1.0 + s * 10.0**e), 0.0) for s, e in offsets]
-    _assert_rows_match_scalar(cli._sweep_rows([xi], [kappa], vs, cli._SWEEP_COLUMNS))
+    _assert_rows_match_scalar(cli._sweep_rows([(xi, kappa)], vs, cli._SWEEP_COLUMNS))
 
 
 def test_sweep_rows_with_failed_quadrature_equal_scalar_api(monkeypatch):
@@ -507,7 +634,7 @@ def test_sweep_rows_with_failed_quadrature_equal_scalar_api(monkeypatch):
         for kappa in kappas:
             v_dpi = pullin(xi, kappa).v_dpi
             vs += [v_dpi * (1.0 + s * 10.0**-k) for s in (-1.0, 1.0) for k in (9, 6, 3, 1)]
-    table = cli._sweep_rows(xis, kappas, vs, cli._SWEEP_COLUMNS)
+    table = cli._sweep_rows(list(itertools.product(xis, kappas)), vs, cli._SWEEP_COLUMNS)
     failed = {r["regime"] for r in _rows(table) if r["error"] and r["error"].startswith("QuadratureFailureError")}
     assert failed == {"periodic", "touchdown"}
     assert not (np.isnan(table["t_p"]).all() or np.isnan(table["t_c"]).all())
@@ -516,7 +643,7 @@ def test_sweep_rows_with_failed_quadrature_equal_scalar_api(monkeypatch):
 
 def test_sweep_rows_all_invalid_equal_scalar_api():
     # a non-convex pair (xi = kappa = 2) and a negative voltage: no row reaches the kernels
-    table = cli._sweep_rows([2.0], [2.0], [-0.1, 0.3], cli._SWEEP_COLUMNS)
+    table = cli._sweep_rows([(2.0, 2.0)], [-0.1, 0.3], cli._SWEEP_COLUMNS)
     assert all(table["error"]) and not any(table["regime"])
     assert {e.split(":")[0] for e in table["error"]} == {"ConvexityError", "InvalidParameterError"}
     _assert_rows_match_scalar(table)
@@ -548,9 +675,9 @@ def test_sweep_solves_statics_once_per_row(capsys, tmp_path, monkeypatch):
         scalar.append(1)
         return real(f, *args, **kwargs)
 
-    def counted_batch(f, fprime, x, *args, **kwargs):
+    def counted_batch(f_df, x, lo, hi, rising):
         batched.append(len(x))
-        return real_batch(f, fprime, x, *args, **kwargs)
+        return real_batch(f_df, x, lo, hi, rising)
 
     n = 12
     v_max = 0.9 * min(pullin(xi, k).v_dpi for xi in (0.15, 0.25) for k in (0.35, 0.45))
@@ -713,7 +840,8 @@ def test_sweep_file_matches_per_cell_reference(capsys, tmp_path, monkeypatch, fm
         capsys, "sweep", "--xi-range", "0", "2", "3", "--kappa-range", "0", "2", "3",
         "--v-min", "-0.1", "--v-max", "3", "--v-steps", "7", "--format", fmt, *extra, "--output", str(path),
     )
-    [(_, spec, table)] = seen
+    [(_, spec, table, more)] = seen
+    assert list(more) == []  # one block
     rows = _rows(table)
     assert {"periodic", "touchdown", "contact", None} <= {r["regime"] for r in rows}
     errors = {r["error"].split(":")[0] for r in rows if r["error"]}
