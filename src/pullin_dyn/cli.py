@@ -80,10 +80,9 @@ _JSON_NAMES = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}  # by the f
 _to_json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), without an encoder per call
 _MIN_DISTINCT = 100  # sweep float cells from which each distinct one is formatted once (np.unique breaks even)
 _MAX_ROWS = 10**6  # rows a sweep may have
-# rows of a sweep block, computed and written before the next: the table and the writer's text of one block take
-# about 0.75 KB a row
-_BLOCK_ROWS = 16384
-_SLICE_ROWS = 2048  # rows per quadrature kernel call: its node-by-row matrices stay a few MB
+# rows of a sweep block, computed and written before the next: the quadrature kernels take a block's rows in one
+# call, whose node-by-row matrices stay a few MB
+_BLOCK_ROWS = 2048
 
 
 def _round_floats(obj, precision: int):
@@ -433,14 +432,6 @@ def _cell(exc: PullInDynError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _by_slices(times, *cols: np.ndarray) -> tuple[np.ndarray, ...]:
-    # a column-wise kernel on slices of at most _SLICE_ROWS rows, its results joined: each row's result as in one call
-    if len(cols[0]) <= _SLICE_ROWS:
-        return times(*cols)
-    parts = [times(*(col[i:i + _SLICE_ROWS] for col in cols)) for i in range(0, len(cols[0]), _SLICE_ROWS)]
-    return tuple(np.concatenate(part) for part in zip(*parts))
-
-
 def _sweep_rows(pairs: list[tuple[float, float]], vs: list[float], wanted: tuple[str, ...]) -> dict:
     """The sweep table of (xi, kappa) pairs by voltages as columns, computed in one pass over arrays of rows.
 
@@ -478,7 +469,7 @@ def _sweep_rows(pairs: list[tuple[float, float]], vs: list[float], wanted: tuple
     at = (regime == REGIME_PERIODIC).nonzero()[0]
     if "t_p" in wanted and at.size:
         q, bad = factor_rows(xi[at], v[at], kappa[at], x_s[at], x2[at])
-        t_s, _, err_est = _by_slices(stagnation_times, xi[at], x_s[at], x2[at], *q)
+        t_s, _, err_est = stagnation_times(xi[at], x_s[at], x2[at], *q)
         t_p[at] = 2.0 * t_s
         for j in np.isnan(t_s).nonzero()[0]:
             fail(at[j], err_est[j])
@@ -487,7 +478,7 @@ def _sweep_rows(pairs: list[tuple[float, float]], vs: list[float], wanted: tuple
         t_p[at[list(bad)]] = np.nan
     at = ((regime == REGIME_TOUCHDOWN) | (regime == REGIME_CONTACT)).nonzero()[0]
     if "t_c" in wanted and at.size:
-        t_c[at], _, err_est = _by_slices(contact_times, xi[at], kappa[at], x0[at], a_sq[at])
+        t_c[at], _, err_est = contact_times(xi[at], kappa[at], x0[at], a_sq[at])
         for j in np.isnan(t_c[at]).nonzero()[0]:
             fail(at[j], err_est[j])
     x_s[regime == REGIME_CONTACT] = np.nan  # the electrode never gets there

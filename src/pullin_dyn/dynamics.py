@@ -35,7 +35,6 @@ position lies beyond the contact surface, the critical run ends at touch-down.
 from __future__ import annotations
 
 import math
-import struct
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable
@@ -147,9 +146,11 @@ class Trajectory:
 
     t, x, v are aligned arrays with strictly increasing t. Every undamped run
     of integrate or integrate_critical sets energy, H at every sample, and
-    energy_drift, the maximum |H(t) - H(0)| over the samples outside the
-    contact layer, where a fixed-step scheme has no meaningful energy
-    resolution (over all, if none is outside); both are None otherwise.
+    energy_drift, the maximum of |H(t) - H(0)|; both are None otherwise.
+    integrate takes it over the samples outside the contact layer, where a
+    stepping scheme has no meaningful energy resolution (over all, if none is
+    outside). integrate_critical takes it over all samples: its v comes from
+    the first integral, so H holds to rounding there, the layer included.
     """
 
     t: np.ndarray
@@ -357,9 +358,11 @@ class _Collector:
     from the first) once a later sample has come, so it keeps the last one,
     against which add checks the next; drain(finish=True) hands on the rest.
     A chunk is checked as a Trajectory's samples are, across chunks too, and
-    goes to the sink as views t, x, v and H, valid for the call: H is None
-    unless the collector has the model of an undamped run, whose energy
-    drift it keeps. samples counts the samples handed on.
+    goes to the sink as views t, x, v and H, valid for the call. H is None
+    unless the collector has the model of an undamped run: then energy forms
+    it, for each chunk or once for a whole run kept without a sink, and keeps
+    the maxima of |H - H(0)| from which energy_drift reads the run's drift.
+    samples counts the samples handed on.
     """
 
     def __init__(self, sink: Callable | None = None, rows: int = 0, m: ModelParams | None = None) -> None:
@@ -409,13 +412,19 @@ class _Collector:
         traj = Trajectory(t, x, v)
         if t[0] <= self.t_last:
             raise IntegratorFailureError("samples not strictly increasing in t")
-        self.t_last, h = t.item(-1), None
-        if self.m is not None:
-            h = energy_series(traj, self.m)
-            self.h0 = h.item(0) if self.h0 is None else self.h0
-            kept, every = _drifts(h, self.h0, x <= 1.0 - _CONTACT_ZONE)  # the actuator's surface is x = 1
-            self.drift_kept, self.drift_all = max(self.drift_kept, kept), max(self.drift_all, every)
-        self.sink(t, x, v, h)
+        self.t_last = t.item(-1)
+        self.sink(t, x, v, self.energy(traj))
+
+    def energy(self, traj: Trajectory) -> np.ndarray | None:
+        # H (read-only) at traj's samples, the run's next ones, the drift maxima updated with it; None without a model
+        if self.m is None:
+            return None
+        h = energy_series(traj, self.m)
+        h.setflags(write=False)
+        self.h0 = h.item(0) if self.h0 is None else self.h0
+        kept, every = _drifts(h, self.h0, traj.x <= 1.0 - _CONTACT_ZONE)  # the actuator's surface is x = 1
+        self.drift_kept, self.drift_all = max(self.drift_kept, kept), max(self.drift_all, every)
+        return h
 
     @property
     def energy_drift(self) -> float | None:
@@ -451,23 +460,6 @@ def _check_step_budget(t_max: float, dt: float) -> None:
         raise IntegratorFailureError(f"t_max={t_max} at dt={dt} exceeds the budget of {_MAX_STEPS} fixed steps")
 
 
-def _last_float(holds: Callable[[float], bool], lo: float, hi: float) -> float:
-    """The largest float in [lo, hi) where holds is true, for 0 <= lo < hi and a
-    predicate that is true up to some point and false beyond it; -inf if it is
-    false at lo. A bisection over the bit patterns, which order nonnegative
-    floats by value, so at most 64 probes however close the limit is to lo."""
-    if not holds(lo):
-        return -math.inf
-    a, b = (struct.unpack("<q", struct.pack("<d", y))[0] for y in (lo, hi))
-    while b - a > 1:
-        mid = (a + b) // 2
-        if holds(struct.unpack("<d", struct.pack("<q", mid))[0]):
-            a = mid
-        else:
-            b = mid
-    return struct.unpack("<d", struct.pack("<q", a))[0]
-
-
 def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float, v0: float, cfg: IntegratorConfig,
                     surface: float, project_origin: bool, consts: tuple | None = None,
                     col: _Collector | None = None) -> _Collector:
@@ -478,21 +470,24 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
     dated on the step's cubic Hermite interpolant of v.
 
     An undamped run given the actuator's force constants
-    (model.force_constants) takes its regular steps in blocks of _BLOCK,
-    bounded by two limits, each found once by _last_float: t_lim, the largest t
-    with t + dt <= t_max, and x_lim, the largest x outside the contact zone and
-    below the trigger (which can lie inside the zone). There a step needs no
-    halving, meets no trigger and, by the step budget, advances t. One
-    np.add.accumulate over [t, dt, dt, ...] gives a block's times, the loop's
-    own sequential t + dt sums, and one searchsorted against t_lim its step
-    count; the block body stores x and v in list slots, which join the
-    samples with its times when it ends, evaluates make_force's expression
-    inline with math.pow bound once (x <= x_lim < 1 <= xi + 1 there, so its
-    guard never fires) and tests only x_new > x_lim and v * v_new <= 0, which
-    also breaks on underflow. A block starts only at v * v > 0, so rest and
-    underflowing products skip its set-up. Every other step (the partial
-    last one, the zone, the trigger, a turn, every step of a damped run or of
-    one given no constants) leaves the block before it commits anything and
+    (model.force_constants) takes its regular steps in blocks of _BLOCK. A
+    block starts where the general body's own full-step test holds,
+    t + dt <= t_max, at x <= x_lim, the largest x outside the contact zone and
+    below the trigger (which can lie inside the zone): from min(surface -
+    zone, trigger), a walk by math.nextafter down while that test fails and
+    up while the next float passes, 0 to 2 steps as surface - x is exact near
+    the zone edge. There a step needs no halving, meets no trigger and, by the
+    step budget, advances t. One np.add.accumulate over [t, dt, dt, ...] gives
+    a block's times, the loop's own sequential t + dt sums, and one
+    searchsorted of t_max among the step ends its step count; the block body
+    stores x and v in list slots, which join the samples with its times when
+    it ends, evaluates make_force's expression inline with math.pow bound
+    once (x <= x_lim < 1 <= xi + 1 there, so its guard never fires) and tests
+    only x_new > x_lim and v * v_new <= 0, which also breaks on underflow. A
+    block starts only at v * v > 0, so rest and underflowing products skip
+    its set-up. Every other step (the partial last one, the zone, the
+    trigger, a turn, every step of a damped run or of one given no constants,
+    for which x_lim is -inf) leaves the block before it commits anything and
     takes the general body, which calls force. Both do the same arithmetic in
     the same order, so the results are bit for bit those of the general body.
     A collector with a sink drains at the top of the loop, after a block or a
@@ -512,10 +507,13 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
     half_mu = 0.5 * mu
     half_dt = 0.5 * dt_base
     xs, kappa, v2h = consts or (0.0, 0.0, 0.0)
-    # both tests are monotone in their variable; -inf when no full step or no x qualifies, and
-    # t_lim = -inf sends every step of a damped run, or of one without constants, to the general body
-    t_lim = _last_float(lambda tq: tq + dt_base <= t_max and tq < t_max, 0.0, t_max) if consts and not mu else -math.inf
-    x_lim = _last_float(lambda xq: surface - xq >= zone and xq < trigger, 0.0, surface)
+    x_lim = -math.inf  # sends every step of a damped run, or of one without constants, to the general body
+    if consts and not mu:
+        x_lim = min(surface - zone, trigger)
+        while not (surface - x_lim >= zone and x_lim < trigger):
+            x_lim = math.nextafter(x_lim, -math.inf)
+        while surface - (x_up := math.nextafter(x_lim, math.inf)) >= zone and x_up < trigger:
+            x_lim = x_up
     steps = np.full(_BLOCK + 1, dt_base)  # [t, dt, dt, ...]: its running sums are the block's times
     ts = np.empty_like(steps)
     xb, vb, pow_ = [0.0] * _BLOCK, [0.0] * _BLOCK, math.pow
@@ -530,10 +528,10 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
     while t < t_max:
         if len(pending) > high:
             col.drain()
-        if t <= t_lim and x <= x_lim and v * v > 0.0:
+        if x <= x_lim and t + dt_base <= t_max and v * v > 0.0:
             steps[0] = t
             np.add.accumulate(steps, out=ts)
-            k = min(int(ts.searchsorted(t_lim, "right")), _BLOCK)  # the block's steps that start at or below t_lim
+            k = int(ts[1:].searchsorted(t_max, "right"))  # the block's steps that end by t_max
             for i in range(k):
                 vh = v + half_dt * a  # mu = 0: a damped run never gets here
                 x_new = x + dt_base * vh
@@ -553,7 +551,7 @@ def _run_symplectic(force: Callable[[float, float], float], mu: float, x0: float
             col.v.fromlist(vb[:i])
             t = ts.item(i)
             if i == k:
-                continue  # a full block, or past t_lim: the horizon test, then the partial last step
+                continue  # a full block, or no full step left: the horizon test, then the partial last step
 
         dt_eff = dt_base if t + dt_base <= t_max else t_max - t
         if surface - x < zone:
@@ -744,20 +742,10 @@ def _drifts(h: np.ndarray, h0: float, keep: np.ndarray | None, out: np.ndarray |
     return -1.0 if keep is None else float(np.max(d, initial=-1.0, where=keep)), float(np.max(d))
 
 
-def _keep_energy(traj: Trajectory, m: ModelParams, keep: np.ndarray | None = None, out: np.ndarray | None = None):
-    # sets traj.energy (read-only) and traj.energy_drift over the samples keep selects (see _drifts); out, if
-    # given, is the scratch of both
-    h = traj.energy = energy_series(traj, m) if out is None else _energy(traj, m, out)
-    h.setflags(write=False)
-    kept, every = _drifts(h, h.item(0), keep, out)
-    traj.energy_drift = kept if kept >= 0.0 else every
-
-
-def _finalize(col: _Collector, m: ModelParams | None, surface: float) -> Trajectory:
+def _finalize(col: _Collector) -> Trajectory:
     t, x, v = col.arrays()
     traj = Trajectory(t=t, x=x, v=v, events=col.events, terminated_by=col.terminated_by)
-    if m is not None and m.mu == 0.0:
-        _keep_energy(traj, m, x <= surface - _CONTACT_ZONE * surface)
+    traj.energy, traj.energy_drift = col.energy(traj), col.energy_drift
     return traj
 
 
@@ -777,7 +765,7 @@ def integrate(
     displacement floor are then disabled. A start that is not finite, lies
     below -NEGATIVE_X_CLAMP or at or beyond the contact trigger is rejected.
     """
-    return _finalize(_integrate(m, cfg or IntegratorConfig(), x0, v0, _Collector()), m, 1.0)
+    return _finalize(_integrate(m, cfg or IntegratorConfig(), x0, v0, _Collector(m=m if m.mu == 0.0 else None)))
 
 
 def _stream(m: ModelParams, cfg: IntegratorConfig, sink: Callable, rows: int) -> _Collector:
@@ -945,8 +933,10 @@ def integrate_critical(
     v *= gap
     traj = Trajectory(t=t, x=x, v=v, events=events,
                       terminated_by=TERMINATED_TOUCHDOWN if events else TERMINATED_HORIZON)
-    if m.mu == 0.0:
-        _keep_energy(traj, m, out=tmp)
+    if m.mu == 0.0:  # v from the first integral keeps H to rounding at every sample, the layer's too
+        h = traj.energy = _energy(traj, m, tmp)
+        h.setflags(write=False)
+        traj.energy_drift = _drifts(h, h.item(0), None, tmp)[1]
     report = CriticalReport(x_limit=x0, final_gap=float(gap[-1]), gap_strictly_decreasing=decreasing,
                             always_below_limit=below, gap=gap, steps=steps)
     return traj, report
@@ -1026,7 +1016,7 @@ def integrate_generic(
 
     col = (_run_adaptive(force, gm.mu, 0.0, 0.0, cfg, gm.a, gm.a, False) if cfg.scheme == SCHEME_ADAPTIVE
            else _run_symplectic(force, gm.mu, 0.0, 0.0, cfg, gm.a, False))
-    traj = _finalize(col, None, gm.a)
+    traj = _finalize(col)
 
     margin = gm.lam * gm.c2 - gm.c1
     guaranteed = margin > 0.0

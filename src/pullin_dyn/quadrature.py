@@ -68,10 +68,10 @@ class TimeScales:
 
 
 @functools.lru_cache(maxsize=32)
-def gauss_nodes(n: int, length: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of order n mapped to [0, length]."""
+def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n mapped to [0, pi/2]."""
     x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * length
+    half = 0.5 * _HALF_PI
     return half * (x + 1.0), half * w
 
 
@@ -88,11 +88,11 @@ def _gauss_doubling(integrand, *cols: np.ndarray) -> tuple[np.ndarray, np.ndarra
     value, err_est, nodes = np.full(size, np.nan), np.full(size, np.nan), np.full(size, _MAX_NODES)
     idx, cols = np.arange(size), [c[:, None] for c in cols]
     n = _BASE_NODES
-    theta, w = gauss_nodes(n, _HALF_PI)
+    theta, w = gauss_nodes(n)
     prev = _row_dot(integrand(theta, *cols), w) if size else None
     while idx.size and n < _MAX_NODES:
         n *= 2
-        theta, w = gauss_nodes(n, _HALF_PI)
+        theta, w = gauss_nodes(n)
         cur = _row_dot(integrand(theta, *cols), w)
         change = np.abs(cur - prev)
         err_est[idx] = change

@@ -47,6 +47,7 @@ CI = [
     (["simulate", "--xi", "0.3", "--v", "1.0", "--t-max", "3"], True),
     (["sweep", "--xi", "0.5", "--v-min", "0.9195", "--v-max", "2.76", "--v-steps", "12", "--format", "csv"], True),
     *((["simulate", "--xi", "0", "--v", "0.4", "--t-max", "5", "--precision", p], True) for p in ("1", "6")),
+    (["simulate", "--xi", "0.3", "--v", "1.0", "--t-max", "3", "--contact-epsilon", "0.0009999999999999998"], True),
 ]
 
 

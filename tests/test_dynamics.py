@@ -929,6 +929,11 @@ _LOOP_CASES = {
     "cubic-spring": (*_actuator(0.4, 0.7, kappa=0.2), 0.0, 0.0, 0.0, 1e-3, 12.0, 1e-9, 1.0, True),
     "zone-and-trigger": (*_actuator(0.0, 0.6), 0.0, 0.0, 0.0, 1e-3, 5.0, 1e-9, 1.0, True),
     "wide-trigger": (*_actuator(0.3, 1.0), 0.0, 0.0, 0.0, 1e-3, 5.0, 9.99e-4, 1.0, True),
+    # 1 - contact_epsilon rounds onto the zone edge 0.999, so x_lim is the float below it
+    "trigger-on-zone-edge": (*_actuator(0.3, 1.0), 0.0, 0.0, 0.0, 1e-3, 5.0, math.nextafter(1e-3, 0.0), 1.0, True),
+    # the same trigger, and a first step that lands on it exactly: the general body takes that step
+    "step-onto-zone-edge-trigger": (*_actuator(0.3, 1.0), 0.0, 0.9899978935774839, 9.0, 1e-3, 1.0,
+                                    math.nextafter(1e-3, 0.0), 1.0, False),
     "partial-last-step": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 2.00037, 1e-9, 1.0, True),
     "t_max-multiple-of-dt": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 3e-4, 1000 * 3e-4, 1e-9, 1.0, True),
     "t_max-equals-dt": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 1e-3, 1e-9, 1.0, True),
@@ -945,7 +950,7 @@ _LOOP_CASES = {
     "corner-mid-block": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 8.0, 1e-9, 1.0, True),
     "x_lim-exit-first-step-of-block": (*_actuator(0.0, 0.6), 0.0, 0.0, 0.0, 1e-3, 5.0, 1e-9, 1.0, True),
     "horizon-in-first-block": (*_actuator(0.3, 0.4), 0.0, 0.0, 0.0, 1e-3, 0.50037, 1e-9, 1.0, True),
-    # the summed t of step 2100 is t_lim itself, so the step from it is the last full one
+    # the summed t of step 2100 is the largest t with t + dt <= t_max, so the step from it is the last full one
     "t_lim-on-the-grid": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 1e-3, 2.1009999999998796, 1e-9, 1.0, True),
     "dt-1e-4-over-blocks": (*_actuator(0.0, 0.4), 0.0, 0.0, 0.0, 1e-4, 8.0, 1e-9, 1.0, True),
     # no constants: every step takes the general body, which passes each step's t to the force
@@ -1042,15 +1047,17 @@ def test_fixed_step_inner_loop_matches_plain_loop(case, monkeypatch):
     returns = ("corners-and-turns", "cubic-spring", "corner-mid-block", "dt-1e-4-over-blocks")
     if case in returns + ("damped-turns", "away-from-rest", "turn-first-step-of-block", "turn-last-step-of-block"):
         assert EVENT_STAGNATION in kinds and (EVENT_RETURN in kinds) == (case in returns)
-    if case in ("zone-and-trigger", "wide-trigger", "damped-touchdown", "tiny-generic-surface",
-                "x_lim-exit-first-step-of-block"):
+    if case in ("zone-and-trigger", "wide-trigger", "trigger-on-zone-edge", "step-onto-zone-edge-trigger",
+                "damped-touchdown", "tiny-generic-surface", "x_lim-exit-first-step-of-block"):
         assert expected[2] == dynamics.TERMINATED_TOUCHDOWN
     if case == "horizon-in-first-block":
         assert 100 < samples < dynamics._BLOCK and expected[2] == dynamics.TERMINATED_HORIZON
         assert np.frombuffer(expected[0][0])[-1] == _LOOP_CASES[case][6]
     if case == "t_lim-on-the-grid":
         t, t_max = np.frombuffer(expected[0][0]), _LOOP_CASES[case][6]
-        assert len(t) == 2102 and t[-2] == dynamics._last_float(lambda tq: tq + 1e-3 <= t_max, 0.0, t_max)
+        assert len(t) == 2102 and t[-2] + 1e-3 <= t_max < math.nextafter(t[-2], math.inf) + 1e-3
+    if case == "step-onto-zone-edge-trigger":
+        assert np.frombuffer(expected[0][1]).tolist() == [_LOOP_CASES[case][3], 0.999]
     if case == "dt-1e-4-over-blocks":
         assert samples > 3 * dynamics._BLOCK
     if case == "generic-undamped-turns":

@@ -28,7 +28,6 @@ from pullin_dyn import (
 )
 from pullin_dyn import quadrature
 from pullin_dyn.quadrature import (
-    _HALF_PI,
     _MAX_NODES,
     _gauss_doubling,
     _one_row,
@@ -155,7 +154,7 @@ def test_node_doubling_error_estimates_decrease():
 
     def integrand(theta, scale):
         f = scale / (1.0 + theta**2)
-        values.append(float(_row_dot(f, gauss_nodes(len(theta), _HALF_PI)[1])[0]))
+        values.append(float(_row_dot(f, gauss_nodes(len(theta))[1])[0]))
         return f
 
     value, nodes, err_est = _gauss_doubling(integrand, np.ones(1))
@@ -172,7 +171,7 @@ def node_cache():
     # that timed calls measure the quadrature, not a one-off leggauss build.
     n = 32
     while n <= _MAX_NODES:
-        gauss_nodes(n, _HALF_PI)
+        gauss_nodes(n)
         n *= 2
 
 
